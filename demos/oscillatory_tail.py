@@ -19,7 +19,7 @@ from sphdefect.chaos import _accelerate, _c_batch, c3_closed, c_coefficient
 print(__doc__)
 
 d, q = 2, 1
-_, _, lobe_sums = _c_batch(d, [q], n_lobes=40, keep_lobes=True)
+_, _, _, lobe_sums = _c_batch(d, [q], n_lobes=40, keep_lobes=True)
 lobes = lobe_sums[q]
 partial = np.cumsum(lobes)
 exact = c3_closed(d)
@@ -29,7 +29,7 @@ print(f"lobe partial sums vs accelerated values, d={d}, q={q} "
 print(f"  {'lobes':>6} {'raw partial sum':>20} {'raw error':>12} "
       f"{'accelerated':>20} {'acc. error':>12}")
 for n in (6, 10, 16, 24, 32, 40):
-    acc, _ = _accelerate(lobes[:n])
+    acc, _, _ = _accelerate(lobes[:n])
     print(f"  {n:>6} {partial[n - 1]:>20.15f} "
           f"{abs(partial[n - 1] - exact):>12.2e} "
           f"{acc:>20.15f} {abs(acc - exact):>12.2e}")

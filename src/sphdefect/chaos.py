@@ -175,7 +175,14 @@ class VarianceReport:
         }
 
 
-# moment-table cost is ~ Q * nodes = Q * (2Q+2) * l flops; keep it ~1 s
+# q_cap solves 2 Q^2 l = _COST_BUDGET.  An order-Q table builds a rule of
+# ~(2Q+2) l nodes and folds it onto t >= 0, ~(Q+1) l nodes.  Each of those
+# pays l recurrence steps, then one multiply and one dot term per odd order
+# until the powers of its block underflow: ~Q l^2 recurrence work plus at
+# most ~Q^2 l = _COST_BUDGET / 2 power work, of which the underflow cut
+# leaves 10-16% at the paper's variance points.  The budget fixes the
+# schedule, hence q_used and the certificate, so it is not retuned to the
+# faster kernel.
 _COST_BUDGET = 6e8
 
 
@@ -211,7 +218,7 @@ def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) 
         moments = np.array([table[2 * q + 1] for q in range(1, q_used + 1)])
         per_q = ss * w * moments
         value = float(np.sum(per_q))
-        tail = ss * table[2 * q_used + 2] * _PI_32 * float(_sp.zeta(1.5, q_used + 1))
+        tail = ss * table[2 * q_used + 2] * weight_tail_bound(q_used)
         report = VarianceReport(
             d, l, q_used, value, tail, per_q, tol,
             tol_achieved=bool(tail <= tol * max(value, 1e-300)),
@@ -314,11 +321,12 @@ def _lobe_rule(d: int, n_lobes: int, first_panels: int, gl_order: int = 24) -> _
                      np.concatenate(lobe_id), n_lobes)
 
 
-def _accelerate(lobe_sums: np.ndarray, levels: int = 12) -> tuple[float, float]:
+def _accelerate(lobe_sums: np.ndarray, levels: int = 12) -> tuple[float, float, int]:
     """Limit of an alternating lobe series by repeated pairwise averaging.
 
-    Returns (estimate, error estimate); the error estimate is the change in
-    the tail value over the final averaging level.
+    Returns (estimate, error estimate, averaging levels applied); the error
+    estimate is the change in the tail value over the final averaging level.
+    Short series get fewer levels: min(levels, len(lobe_sums) - 2) + 1.
     """
     s = np.cumsum(lobe_sums)
     levels = min(levels, len(s) - 2)
@@ -326,7 +334,7 @@ def _accelerate(lobe_sums: np.ndarray, levels: int = 12) -> tuple[float, float]:
         s = 0.5 * (s[:-1] + s[1:])
     before = s[-1]
     s = 0.5 * (s[:-1] + s[1:])
-    return float(s[-1]), float(abs(s[-1] - before))
+    return float(s[-1]), float(abs(s[-1] - before)), levels + 1
 
 
 _DEFAULT_LOBES = 72
@@ -334,7 +342,10 @@ _DEFAULT_LOBES = 72
 
 def _c_batch(d: int, q_list, n_lobes: int = _DEFAULT_LOBES,
              keep_lobes: bool = False):
-    """c_{2q+1;d} for every q in q_list from one shared evaluation of Jt_d."""
+    """c_{2q+1;d} for every q in q_list from one shared evaluation of Jt_d.
+
+    Returns (values, errors, acceleration levels applied[, lobe sums]).
+    """
     qs = sorted(set(int(q) for q in q_list))
     if qs[0] < 1:
         raise ValueError("need q >= 1")
@@ -352,12 +363,12 @@ def _c_batch(d: int, q_list, n_lobes: int = _DEFAULT_LOBES,
             power = power * j2
             cur += 2
         lobes = np.bincount(rule.lobe_id, base * power, minlength=rule.n_lobes)
-        values[q], errors[q] = _accelerate(lobes)
+        values[q], errors[q], levels = _accelerate(lobes)
         if keep_lobes:
             lobe_sums[q] = lobes
     if keep_lobes:
-        return values, errors, lobe_sums
-    return values, errors
+        return values, errors, levels, lobe_sums
+    return values, errors, levels
 
 
 def c_coefficient(d: int, q: int, method: str = "quadrature",
@@ -376,7 +387,7 @@ def c_coefficient(d: int, q: int, method: str = "quadrature",
             raise ValueError("closed form is available for q = 1 only")
         value, err = c3_closed(d), 0.0
     elif method == "quadrature":
-        values, errors, lobes = _c_batch(d, [q], keep_lobes=True)
+        values, errors, _, lobes = _c_batch(d, [q], keep_lobes=True)
         value, err = values[q], errors[q]
         if err > 1e-6 * max(abs(value), 1e-12):
             raise ArithmeticError(
@@ -431,7 +442,7 @@ def constant_estimate(d: int, method: str = "series",
         raise ValueError(f"need d >= 2, got {d}")
     ss = sphere_surface(d) * sphere_surface(d - 1)
     if method == "series":
-        values, errors = _c_batch(d, range(1, q_terms + 1), n_lobes=n_lobes)
+        values, errors, levels = _c_batch(d, range(1, q_terms + 1), n_lobes=n_lobes)
         w = chaos_weights_upto(q_terms)
         partial = float(np.dot(w, [values[q] for q in range(1, q_terms + 1)]))
         k_d = _PI_32 * d ** (d / 2.0) * math.gamma(d / 2.0) / 2.0
@@ -444,7 +455,7 @@ def constant_estimate(d: int, method: str = "series",
         err = 2.0 * ss * (tail_err + quad_err) + 2e-11 * abs(value)
         return ConstantEstimate(d, "series", value, err,
                                 {"q_terms": q_terms, "n_lobes": n_lobes,
-                                 "acceleration_levels": 13,
+                                 "acceleration_levels": levels,
                                  "tail_completion": 2.0 * ss * tail})
     if method == "integral":
         first_panels = 8
@@ -452,12 +463,12 @@ def constant_estimate(d: int, method: str = "series",
         j = np.clip(_kernel(d)(rule.nodes), -1.0, 1.0)
         f = rule.weights * rule.nodes ** (d - 1) * (np.arcsin(j) - j)
         lobes = np.bincount(rule.lobe_id, f, minlength=rule.n_lobes)
-        est, err = _accelerate(lobes)
+        est, err, levels = _accelerate(lobes)
         value = 4.0 / math.pi * ss * est
         err = 4.0 / math.pi * ss * err + 2e-11 * abs(value)
         return ConstantEstimate(d, "integral", value, err,
                                 {"n_lobes": n_lobes, "gl_order": 32,
-                                 "acceleration_levels": 13})
+                                 "acceleration_levels": levels})
     raise ValueError(f"unknown method {method!r}")
 
 

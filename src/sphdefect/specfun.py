@@ -60,6 +60,15 @@ def _check_t_domain(t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.clip(t, -1.0, 1.0)
 
 
+# Nodes per block of the recurrence and of the power chain: the few float64
+# arrays of one block (64 KB each) stay in L2.
+_BLOCK = 8192
+# A power |G|^k whose log falls below this is under the smallest normal
+# double: it adds nothing to a sum above rounding, and subnormal arithmetic
+# is an order of magnitude slower.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
 class GegenbauerEvaluator:
     """Normalized Gegenbauer polynomials G_{l;d} for fixed (d, l).
 
@@ -96,33 +105,70 @@ class GegenbauerEvaluator:
         return out
 
     def _recurrence(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         if self.degree == 0:
             return np.ones_like(t)
-        prev = np.ones_like(t)
-        cur = t.copy()
-        for n in range(1, self.degree):
-            prev, cur = cur, self._a[n] * t * cur - self._b[n] * prev
-        return cur
+        flat = t.reshape(-1)
+        out = np.empty_like(flat)
+        # three block-sized buffers rotated in place; each step computes
+        # exactly (a[n] * t) * cur - b[n] * prev, so values match the
+        # textbook form bit for bit
+        m = max(1, min(flat.size, _BLOCK))
+        bufs = np.empty((3, m))
+        a, b = self._a, self._b
+        for start in range(0, flat.size, m):
+            x = flat[start:start + m]
+            prev, cur, tmp = bufs[:, :x.size]
+            prev.fill(1.0)
+            cur[:] = x
+            for n in range(1, self.degree):
+                np.multiply(a[n], x, out=tmp)
+                np.multiply(tmp, cur, out=tmp)
+                np.multiply(b[n], prev, out=prev)
+                np.subtract(tmp, prev, out=prev)
+                prev, cur = cur, prev
+            out[start:start + x.size] = cur
+        return out.reshape(t.shape)
 
     def powers_dot(self, t: np.ndarray, weights: np.ndarray, k_list) -> dict:
         """Weighted sums  sum_i w_i G(t_i)^k  for every k in ``k_list``.
 
-        Shares a single evaluation of G at the nodes across all powers; the
-        running product keeps relative rounding growth to O(k_max * eps).
+        The nodes are processed in blocks of ``_BLOCK`` that stay in L2.  Per
+        block, G is evaluated once and a running power steps through the
+        sorted orders: by G^2 while the parity of k stays, by G once where it
+        flips, so the odd-order chain 3, 5, ..., 2Q+1 costs one multiply and
+        one partial dot per order.  A block leaves the chain at the first
+        order where even its largest |G|^k is below the smallest normal
+        double (~2.2e-308); what it would still add is less than that times
+        its weight sum, far under the rounding of any moment.  Memory stays
+        O(len(t)) whatever the number of orders.  Relative rounding growth
+        of the power is O(k_max * eps).
         """
-        g = self._recurrence(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float).reshape(-1)
+        weights = np.asarray(weights, dtype=float).reshape(-1)
         ks = sorted(set(int(k) for k in k_list))
-        out = {}
-        power = np.ones_like(g)
-        cur_k = 0
-        for k in ks:
-            if k < 0:
-                raise ValueError("powers must be >= 0")
-            while cur_k < k:  # advance the running product to G^k
-                power = power * g
-                cur_k += 1
-            out[k] = float(np.dot(weights, power))
-        return out
+        if ks and ks[0] < 0:
+            raise ValueError("powers must be >= 0")
+        sums = [0.0] * len(ks)
+        for start in range(0, t.size, _BLOCK):
+            g = self._recurrence(t[start:start + _BLOCK])
+            w = weights[start:start + _BLOCK]
+            with np.errstate(divide="ignore"):
+                log_max = float(np.log(np.max(np.abs(g))))
+            g2 = g * g
+            power = np.ones_like(g)
+            cur_k = 0
+            for i, k in enumerate(ks):
+                if k * log_max < _LOG_TINY:
+                    break
+                if (k - cur_k) % 2:
+                    power *= g
+                    cur_k += 1
+                while cur_k < k:
+                    power *= g2
+                    cur_k += 2
+                sums[i] += float(np.dot(w, power))
+        return dict(zip(ks, sums))
 
 
 # Cache evaluators; construction cost is O(degree) but harmless to reuse.

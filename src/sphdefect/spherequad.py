@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
-from scipy.fft import dct as _dct
+from scipy.fft import dct as _dct, next_fast_len
 
 from .specfun import _gegenbauer_evaluator, sphere_surface
 
@@ -122,7 +122,9 @@ def _weight_rule(d: int, poly_degree: int) -> tuple[np.ndarray, np.ndarray]:
         if need <= _GL_CUTOFF:
             rule = gauss_legendre(need // 2 + 1)
         else:
-            rule = fejer_rule(need + 1)
+            # an FFT-friendly length: the DCT is several times faster, and
+            # extra nodes only raise the exactness
+            rule = fejer_rule(next_fast_len(need + 1))
         t, w = rule.nodes, rule.weights
         if m:
             w = w * (1.0 - t * t) ** (m // 2)
@@ -140,15 +142,27 @@ def gegenbauer_moment_table(d: int, l: int, k_list) -> dict:
     for every k in ``k_list``, sharing one node set across all powers.
 
     Equals the theta form  int_0^pi G(cos x)^k (sin x)^(d-1) dx.  The rule is
-    sized for the largest requested power, so every returned value is exact
-    up to rounding.
+    sized for the largest power evaluated, so every returned value is exact
+    up to rounding.  Odd k*l gives exactly 0.0 by parity, with nothing
+    evaluated.  The rule is +-symmetric and G(-t) = (-1)^l G(t) holds bit for
+    bit, so the even moments sum over the nodes t >= 0 only, with doubled
+    weights (a centre node t = 0 keeps its single weight).
     """
     ks = sorted(set(int(k) for k in k_list))
     if not ks or ks[0] < 1:
         raise ValueError("powers must be >= 1")
-    t, w = _weight_rule(d, ks[-1] * l)
-    ev = _gegenbauer_evaluator(d, l)
-    return ev.powers_dot(t, w, ks)
+    even = [k for k in ks if (k * l) % 2 == 0]
+    out = dict.fromkeys(ks, 0.0)
+    if not even:
+        return out
+    t, w = _weight_rule(d, even[-1] * l)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    h = t.size // 2
+    w_half = 2.0 * w[h:]
+    if t.size % 2:
+        w_half[0] = w[h]
+    out.update(_gegenbauer_evaluator(d, l).powers_dot(t[h:], w_half, even))
+    return out
 
 
 def _half_range_odd(d: int, l: int, k: int) -> float:
@@ -185,12 +199,9 @@ def gegenbauer_moment(d: int, l: int, k: int, range: str = "half") -> float:
         raise ValueError(f"need l >= 0, got {l}")
     if range not in ("half", "full"):
         raise ValueError(f"range must be 'half' or 'full', got {range!r}")
-    odd = (k * l) % 2 == 1
     if range == "full":
-        if odd:
-            return 0.0
         return gegenbauer_moment_table(d, l, [k])[k]
-    if odd:
+    if (k * l) % 2 == 1:
         return _half_range_odd(d, l, k)
     return 0.5 * gegenbauer_moment_table(d, l, [k])[k]
 

@@ -11,6 +11,8 @@ from sphdefect.chaos import (ChaosCoefficients, c3_closed, c_coefficient,
                              exact_variance, facile_check, indicator_l2_sum,
                              variance_closed_form, weight_tail_bound,
                              weight_tail_estimate)
+from sphdefect.specfun import sphere_surface
+from sphdefect.spherequad import gegenbauer_moment_table
 
 
 class TestWeights:
@@ -101,6 +103,15 @@ class TestExactVariance:
         r2 = exact_variance(2, 4, q_max=1024)
         assert r2.tail_bound < r1.tail_bound
         assert abs(r2.value - variance_closed_form(2, 4)) <= r2.tail_bound
+
+    def test_tail_bound_carries_rounding_margin(self):
+        # the certificate multiplies the dominating even moment by the
+        # rounded-up zeta majorant of weight_tail_bound, margin included
+        rep = exact_variance(2, 4, q_max=8)
+        ss = sphere_surface(2) * sphere_surface(1)
+        even = gegenbauer_moment_table(2, 4, [18])[18]
+        assert rep.tail_bound == pytest.approx(ss * even * weight_tail_bound(8),
+                                               rel=2e-13, abs=0.0)
 
     def test_odd_degree_exactly_zero(self):
         for d, l in ((2, 3), (2, 11), (3, 5), (5, 7)):
@@ -203,6 +214,14 @@ class TestConstant:
         # d=2: the first chaos term gives exactly 32/sqrt(27)
         assert defect_constant_lower_bound(2) == pytest.approx(
             32.0 / math.sqrt(27.0), rel=1e-15)
+
+    def test_acceleration_levels_reported_as_applied(self):
+        # 10 lobes leave room for min(12, 10 - 2) + 1 = 9 averaging levels
+        for method in ("series", "integral"):
+            short = constant_estimate(2, method, q_terms=20, n_lobes=10)
+            assert short.params["acceleration_levels"] == 9
+            full = constant_estimate(2, method, q_terms=20)
+            assert full.params["acceleration_levels"] == 13
 
     def test_estimate_metadata(self):
         est = constant_estimate(2, "series", q_terms=200)

@@ -11,7 +11,7 @@ from sphdefect.specfun import (GegenbauerEvaluator, HermiteSequence,
                                ScaledBesselKernel, eigenspace_dim, gegenbauer,
                                hermite, hermite_even_at_zero, scaled_bessel,
                                sphere_surface)
-from sphdefect.specfun import gegenbauer_lambda
+from sphdefect.specfun import _BLOCK, gegenbauer_lambda
 
 
 def test_sphere_surface_known_values():
@@ -99,6 +99,60 @@ class TestGegenbauer:
         g = ev.value(t)
         for k, v in got.items():
             assert v == pytest.approx(float(np.dot(w, g**k)), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 17])
+    def test_powers_dot_block_edges(self, n):
+        # one node, under a block, exactly one block, and ragged last blocks;
+        # k = 0 is the weight sum, and the k list mixes parities and gaps
+        ev = GegenbauerEvaluator(3, 9)
+        rng = np.random.default_rng(n)
+        t = rng.uniform(-1.0, 1.0, n)
+        w = rng.uniform(0.1, 1.0, n)
+        ks = [0, 1, 2, 5, 6, 11, 14]
+        got = ev.powers_dot(t, w, ks)
+        assert sorted(got) == ks
+        assert got[0] == pytest.approx(float(np.sum(w)), rel=1e-13)
+        g = ev.value(t)
+        for k in ks:
+            scale = float(np.dot(w, np.abs(g) ** k))
+            assert abs(got[k] - float(np.dot(w, g**k))) <= 1e-13 * scale + 1e-300
+
+    def test_powers_dot_underflow_cut(self):
+        # blocks with |G| <= 0.06 leave the power chain once even their
+        # largest |G|^k is below the smallest normal double; up to that order
+        # they add their full share, and a block near t = 1 runs every order
+        ev = GegenbauerEvaluator(2, 200)
+        low = np.linspace(-0.5, 0.5, 2 * _BLOCK)
+        tiny = np.finfo(float).tiny
+        life = math.log(tiny) / math.log(np.max(np.abs(ev.value(low))))
+        ks = [2, 51, int(0.9 * life), int(1.1 * life) + 1]
+        rng = np.random.default_rng(3)
+        for t in (low, np.concatenate([low, np.linspace(0.99, 1.0, _BLOCK)])):
+            w = rng.uniform(0.1, 1.0, t.size)
+            g = ev.value(t)
+            got = ev.powers_dot(t, w, ks)
+            for k in ks:
+                # rounding of a chained power grows like k * eps
+                assert got[k] == pytest.approx(float(np.dot(w, g**k)), rel=1e-12,
+                                               abs=tiny * float(np.sum(w)))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("l", [0, 1, 7, 400])
+    def test_recurrence_bit_identical_to_textbook_form(self, d, l):
+        # the in-place buffers must not change a single bit of
+        # G_{n+1} = (a[n] * t) * G_n - b[n] * G_{n-1}
+        ev = GegenbauerEvaluator(d, l)
+        t = np.concatenate([np.linspace(-1.0, 1.0, 1001),
+                            np.random.default_rng(d + l).uniform(-1.0, 1.0, 500)])
+        if l == 0:
+            ref = np.ones_like(t)
+        else:
+            prev, ref = np.ones_like(t), t.copy()
+            for n in range(1, l):
+                prev, ref = ref, ev._a[n] * t * ref - ev._b[n] * prev
+        assert np.array_equal(ev._recurrence(t), ref)
+        assert np.array_equal(gegenbauer(d, l, t), ref)
 
     def test_lambda_parameter_family(self):
         t = np.linspace(-1.0, 1.0, 41)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
+from scipy.fft import next_fast_len
 
 from sphdefect.specfun import eigenspace_dim, gegenbauer, sphere_surface
-from sphdefect.spherequad import (build_grid, chebyshev_sqrt_rule,
+from sphdefect.spherequad import (_weight_rule, build_grid, chebyshev_sqrt_rule,
                                   cubic_integral, fejer_rule, gauss_legendre,
                                   gegenbauer_moment, gegenbauer_moment_table,
                                   geodesic, grid_to_csv)
@@ -67,6 +70,35 @@ class TestMoments:
         for k, v in table.items():
             assert v == pytest.approx(gegenbauer_moment(2, 6, k, range="full"),
                                       rel=1e-13, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 5), l=st.integers(0, 30),
+           ks=st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    def test_folded_table_matches_unfolded_sum(self, d, l, ks):
+        # the table sums the t >= 0 half with doubled weights; the plain sum
+        # over the whole symmetric rule it folds must agree to rounding, and
+        # odd k*l must come out as an exact zero
+        table = gegenbauer_moment_table(d, l, ks)
+        assert sorted(table) == sorted(set(ks))
+        even = [k for k in ks if (k * l) % 2 == 0]
+        for k in set(ks) - set(even):
+            assert table[k] == 0.0
+        if not even:
+            return
+        t, w = _weight_rule(d, max(even) * l)
+        g = gegenbauer(d, l, t)
+        for k in even:
+            ref = float(np.dot(w, g**k))
+            assert table[k] == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    def test_weight_rule_is_symmetric_with_fast_fejer_length(self):
+        # even d above the Gauss-Legendre cutoff: the Fejer length is
+        # rounded up to an FFT-friendly size, never down
+        for d, degree in ((2, 693_600), (4, 5_001)):
+            t, w = _weight_rule(d, degree)
+            assert t.size == next_fast_len(degree + d - 1)
+            assert np.array_equal(t, -t[::-1])
+            assert np.array_equal(w, w[::-1])
 
     def test_second_moment_is_inverse_dimension(self):
         # int_{-1}^{1} G^2 w_d = |S^{d-1}|^{-1} |S^d| / n_{l;d}
