@@ -16,10 +16,6 @@ Output conventions:
   the timestamp is suppressed with --no-timestamp.
 * A relative --output path is resolved under $SPHDEFECT_OUTPUT_DIR when
   that variable is set; absolute paths and stdout are left alone.
-
-The --workers flag is accepted on every subcommand for forward
-compatibility; all current modules are serial, so any value other than 1
-only emits a note on stderr.
 """
 
 from __future__ import annotations
@@ -373,9 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp header line so reruns are "
                             "byte-identical")
-        p.add_argument("--workers", type=int, default=0,
-                       help="worker count (0 = machine default); current "
-                            "modules run serially")
 
     p = sub.add_parser("variance", help="exact defect variance over degrees")
     p.add_argument("--d", type=int, required=True)
@@ -408,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(fn=_cmd_gaunt, fmt="csv", no_timestamp=True, workers=0)
+    p.set_defaults(fn=_cmd_gaunt, fmt="csv", no_timestamp=True)
 
     p = sub.add_parser("lemcg", help="Gaunt double-sum identity residuals")
     p.add_argument("--d", type=int, required=True)
@@ -468,9 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 0) not in (0, 1):
-        print("note: --workers accepted for compatibility; current modules "
-              "run serially", file=sys.stderr)
     config = RunConfig(
         command=args.command,
         d=getattr(args, "d", None),

@@ -173,6 +173,53 @@ class HarmonicBasis:
         out[:, grid.antipode_index[primary]] = (-1.0) ** self.l * vals
         return out
 
+    def ring_factors(self, polar_nodes, n_phi: int):
+        """The basis on rings of a product grid, factored per ring.
+
+        polar_nodes: one array of cos(polar angle) per polar axis, all of
+        length G (one entry per ring; chi then theta on S^3).  Returns
+        (polar, azimuth, slot) with polar of shape (2l+1, n_L, G), azimuth
+        of shape (2l+1, n_phi) and slot of shape (size,), such that, with a
+        coefficient vector a scattered as A.flat[slot] = a into an
+        (n_L, 2l+1) array,
+
+            T(ring g, phi_j) = sum_m (sum_L A[L, m] polar[m, L, g]) azimuth[m, j],
+
+        at phi_j = 2 pi j / n_phi.  Row m of the azimuth table is the flat
+        S^2 order: 1/sqrt(2 pi), then cos(k phi)/sqrt(pi), sin(k phi)/sqrt(pi)
+        for k = 1..l.  n_L = 1 on S^2; on S^3, L runs over the l+1 polar
+        orders, whose degree-L S^2 blocks are prefixes of that order.
+        """
+        l, width = self.l, 2 * self.l + 1
+        cos = [np.asarray(t, dtype=float) for t in polar_nodes]
+        sin = [np.sqrt(np.maximum(0.0, 1.0 - t * t)) for t in cos]
+        k_of_row = (np.arange(width) + 1) // 2
+        if self.d == 2:
+            polar = _alp_rows(l, cos[0], sin[0])[k_of_row][:, None, :]
+            slot = np.arange(width)
+        else:
+            polar = np.zeros((width, l + 1, cos[0].size))
+            slot = np.empty(self.size, dtype=np.intp)
+            row = 0
+            s_pow = np.ones_like(sin[0])
+            for big_l in range(l + 1):
+                block = 2 * big_l + 1
+                radial = (_radial_norm_s3(l, big_l) * s_pow
+                          * gegenbauer_lambda(big_l + 1.0, l - big_l, cos[0]))
+                w = _alp_rows(big_l, cos[1], sin[1])
+                polar[:block, big_l] = radial * w[k_of_row[:block]]
+                slot[row:row + block] = big_l * width + np.arange(block)
+                row += block
+                s_pow = s_pow * sin[0]
+        # k*j reduced mod n_phi keeps every angle in [0, 2 pi) exactly
+        kj = np.outer(np.arange(1, l + 1), np.arange(n_phi)) % n_phi
+        angle = (2.0 * math.pi / n_phi) * kj
+        azimuth = np.empty((width, n_phi))
+        azimuth[0] = 1.0 / math.sqrt(2.0 * math.pi)
+        azimuth[1::2] = np.cos(angle) / math.sqrt(math.pi)
+        azimuth[2::2] = np.sin(angle) / math.sqrt(math.pi)
+        return polar, azimuth, slot
+
 
 def build_basis(d: int, l: int) -> HarmonicBasis:
     """Orthonormal real harmonics of degree l on S^d (d = 2 or 3).

@@ -244,6 +244,12 @@ class QuadratureGrid:
     antipode_index[i] is the index of the point -points[i] (the point set is
     closed under the antipodal map with exactly equal weights, and the
     mirrored coordinates are exact IEEE negations).
+
+    Product grids also keep their factor rules: ``polar_rules`` holds one
+    (nodes, weights) pair per polar angle, in cos form, and ``n_phi`` the
+    size of the uniform azimuth rule phi_j = 2 pi j / n_phi.  Points are
+    enumerated ring by ring (polar multi-index first, azimuth fastest), and
+    every point of a ring carries the same weight.
     """
 
     d: int
@@ -252,6 +258,8 @@ class QuadratureGrid:
     exactness_degree: int
     antipodal_symmetric: bool
     antipode_index: np.ndarray | None = None
+    polar_rules: tuple = ()
+    n_phi: int = 0
 
     @property
     def size(self) -> int:
@@ -356,6 +364,8 @@ def build_grid(d: int, degree: int, point_budget: int = 4_000_000) -> Quadrature
         exactness_degree=degree,
         antipodal_symmetric=True,
         antipode_index=anti,
+        polar_rules=tuple(polar),
+        n_phi=n_phi,
     )
 
 

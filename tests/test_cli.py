@@ -240,12 +240,6 @@ class TestMcClt:
         assert lines[2] == "realization,defect,normalized_defect"
         assert len(lines) == 3 + 30
 
-    def test_workers_flag_accepted(self, capsys):
-        code, _, err = run(["mc-clt", "--d", "2", "--l", "8", "--n", "40",
-                            "--workers", "4", "--no-timestamp"], capsys)
-        assert code == 0
-        assert "serially" in err
-
 
 class TestMoments:
     def test_half_range_values(self, capsys):

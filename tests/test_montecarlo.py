@@ -1,16 +1,21 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sphdefect import montecarlo
 from sphdefect.chaos import exact_variance
+from sphdefect.harmonics import build_basis
 from sphdefect.montecarlo import (CltConfig, clt_experiment, default_degree,
                                   defect_estimate, nyquist_degree,
                                   sample_field, stream,
                                   wasserstein1_empirical)
 from sphdefect.montecarlo import _spectral_defects
 from sphdefect.specfun import gegenbauer, sphere_surface
-from sphdefect.spherequad import build_grid
+from sphdefect.spherequad import QuadratureGrid, build_grid
 
 SEED = 618970
 
@@ -66,19 +71,19 @@ class TestFieldSamples:
         # sample bitwise, then gather statistics with the cheap path.
         from sphdefect.montecarlo import (FieldSample, _covariance_factor,
                                           _covariance_values,
-                                          _spectral_prepared, _spectral_values)
+                                          _rings, _spectral_values)
         l, degree, n = 8, nyquist_degree(8), 900
         grid = build_grid(2, degree)
         var_exact = exact_variance(2, l, tol=1e-6).value
         factor = _covariance_factor(2, l, grid)
-        prepared = _spectral_prepared(2, l, grid)
+        rings = _rings(2, l, grid)
         public_cov = sample_field(2, l, grid, method="covariance-factorization",
                                   rng=stream(SEED, 0)).values
         assert np.array_equal(
             public_cov, _covariance_values(2, l, grid, stream(SEED, 0), factor))
         public_spec = sample_field(2, l, grid, rng=stream(SEED, 0)).values
         assert np.array_equal(
-            public_spec, _spectral_values(2, l, grid, stream(SEED, 0), prepared))
+            public_spec, _spectral_values(rings, stream(SEED, 0)))
 
         def defect(values):
             return defect_estimate(FieldSample(
@@ -86,7 +91,7 @@ class TestFieldSamples:
                 method="spectral-basis", master_seed=SEED, index=0))
 
         outs = {}
-        for name, draw in (("spectral", lambda r: _spectral_values(2, l, grid, r, prepared)),
+        for name, draw in (("spectral", lambda r: _spectral_values(rings, r)),
                            ("covariance", lambda r: _covariance_values(2, l, grid, r, factor))):
             d2 = np.array([defect(draw(stream(SEED, i))) ** 2 for i in range(n)])
             outs[name] = d2
@@ -156,6 +161,63 @@ class TestDefects:
             defect_estimate(sample_field(2, l, grid, rng=stream(SEED, i)))
             for i in range(n)])
         assert np.max(np.abs(batched - single)) < 1e-12
+
+
+class TestRingSampler:
+    # the dense basis matrix is the independent oracle of the ring path;
+    # degree 32 on S^2 (17 polar nodes) and 20 on S^3 (11 x 11 rings) give
+    # an equator / centre ring that is its own antipodal image
+    @pytest.mark.parametrize("d,l,degree", [(2, 6, 30), (2, 6, 32), (2, 7, 32),
+                                            (2, 40, 179), (3, 4, 21), (3, 4, 20),
+                                            (3, 5, 20)])
+    def test_values_match_dense_basis(self, d, l, degree):
+        grid = build_grid(d, degree)
+        basis = build_basis(d, l)
+        dense = basis.evaluate_on_grid(grid)
+        sigma = math.sqrt(sphere_surface(d) / basis.size)
+        for i in range(3):
+            values = sample_field(d, l, grid, rng=stream(SEED, i)).values
+            a = stream(SEED, i).normal(0.0, sigma, basis.size)
+            assert np.max(np.abs(values - a @ dense)) <= 1e-12
+            assert np.array_equal(values[grid.antipode_index], (-1.0) ** l * values)
+
+    def test_grid_has_centre_ring(self):
+        # the odd-count cases above really contain a self-antipodal ring
+        for d, degree in ((2, 32), (3, 20)):
+            rules = build_grid(d, degree).polar_rules
+            assert math.prod(t.size for t, _ in rules) % 2 == 1
+            assert all(t[t.size // 2] == 0.0 for t, _ in rules)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from([(2, 4, 24), (2, 5, 24), (2, 6, 26),
+                                 (3, 2, 12), (3, 3, 13), (3, 4, 18)]),
+           n=st.integers(1, 150),
+           cuts=st.lists(st.integers(0, 150), max_size=4),
+           tile=st.sampled_from([1 << 9, 1 << 12, 1 << 20]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chunk_invariant_defects(self, case, n, cuts, tile, seed):
+        # defects of [0, n) = the concatenated defects of any split of it,
+        # at any tile size, and = the one-sample route stream for stream
+        d, l, degree = case
+        grid = build_grid(d, degree)
+        whole = _spectral_defects(d, l, grid, seed, n)
+        bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+        with mock.patch.object(montecarlo, "_TILE", tile):
+            chunked = np.concatenate([_spectral_defects(d, l, grid, seed, hi - lo, start=lo)
+                                      for lo, hi in zip(bounds, bounds[1:])])
+        assert np.array_equal(whole, chunked)
+        single = np.array([defect_estimate(sample_field(d, l, grid, rng=stream(seed, i)))
+                           for i in range(n)])
+        assert np.max(np.abs(whole - single)) <= 1e-12
+        if l % 2:
+            assert np.all(whole == 0.0) and np.all(single == 0.0)
+
+    def test_needs_product_grid(self):
+        grid = build_grid(2, 12)
+        bare = QuadratureGrid(d=2, points=grid.points, weights=grid.weights,
+                              exactness_degree=12, antipodal_symmetric=False)
+        with pytest.raises(ValueError, match="product grid"):
+            sample_field(2, 4, bare, rng=stream(SEED, 0))
 
 
 class TestWasserstein:
