@@ -2,9 +2,10 @@
 
 Each criterion function recomputes its quantities from scratch at the
 tolerances fixed below and returns a CriterionResult; run_all() executes
-all ten in order and reports one line per criterion.  The same functions
-back `sphdefect selftest` and the acceptance test module, so there is a
-single source of truth for what "passing" means.
+all ten, or a chosen subset, in order and reports one line per criterion.
+The same functions back `sphdefect selftest` (through run_all) and the
+acceptance test module, so there is a single source of truth for what
+"passing" means.
 """
 
 from __future__ import annotations
@@ -223,15 +224,25 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 
 
-def run_all(report=print) -> list[CriterionResult]:
-    """Run all ten criteria in order, reporting one line per criterion."""
+def run_all(report=print, criteria=None) -> list[CriterionResult]:
+    """Run the criteria in order, reporting one line per criterion.
+
+    ``criteria`` is a collection of 1-based criterion numbers (default all
+    ten); each reported line ends with the criterion's wall time.
+    """
+    chosen = CRITERIA
+    if criteria is not None:
+        bad = set(criteria) - set(range(1, len(CRITERIA) + 1))
+        if bad:
+            raise ValueError(f"unknown criteria {sorted(bad)}")
+        chosen = tuple(fn for i, fn in enumerate(CRITERIA, 1) if i in criteria)
     results = []
-    for fn in CRITERIA:
+    for fn in chosen:
         t0 = time.perf_counter()
         res = fn()
         res = CriterionResult(res.index, res.name, res.passed, res.detail,
                               elapsed=time.perf_counter() - t0)
         results.append(res)
         if report is not None:
-            report(res.line())
+            report(f"{res.line()}  [{res.elapsed:.1f}s]")
     return results

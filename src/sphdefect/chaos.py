@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sp
 
 from .specfun import sphere_surface, _kernel
@@ -282,26 +281,43 @@ def c3_closed(d: int) -> float:
 
 
 def _bessel_zeros(d: int, count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of J_{d/2-1}, increasing."""
     nu = d / 2.0 - 1.0
     if d == 3:
         return math.pi * np.arange(1, count + 1)
     if nu == int(nu):
         return _sp.jn_zeros(int(nu), count)
-    # half-integer order: bracket around the McMahon estimate and refine
-    zeros = np.empty(count)
-    mu = 4.0 * nu * nu
-    for k in range(1, count + 1):
-        beta = (k + nu / 2.0 - 0.25) * math.pi
-        guess = beta - (mu - 1.0) / (8.0 * beta)
-        lo, hi = guess - 0.45 * math.pi, guess + 0.45 * math.pi
-        if k == 1:
-            lo = max(lo, 1e-8)
-        f = lambda x: _sp.jv(nu, x)
-        while f(lo) * f(hi) > 0:
-            lo -= 0.1
-            hi += 0.1
-        zeros[k - 1] = _opt.brentq(f, lo, hi, xtol=1e-13)
-    return zeros
+    # Half-integer order nu >= 3/2: consecutive zeros are more than pi
+    # apart and j_{nu,1} > nu, so a scan from nu in steps of pi/2 puts each
+    # zero alone in a cell where J_nu changes sign.  (McMahon guesses alone
+    # are too far off for the first zeros at large order.)
+    k = np.arange(1, count + 1)
+    beta = (k + nu / 2.0 - 0.25) * math.pi
+    guess = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
+    end = guess[-1] + math.pi
+    while True:
+        x = nu + 0.5 * math.pi * np.arange(math.ceil((end - nu) / (0.5 * math.pi)) + 1)
+        positive = _sp.jv(nu, x) > 0.0
+        cells = np.flatnonzero(positive[:-1] != positive[1:])
+        if cells.size >= count:
+            break
+        end += (count - cells.size) * math.pi
+    cells = cells[:count]
+    lo, hi, lo_positive = x[cells], x[cells + 1], positive[cells]
+    # Newton from the McMahon guess, with J' = J_{nu-1} - (nu/x) J_nu;
+    # a step that leaves the shrinking bracket is replaced by bisection
+    z = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    for _ in range(100):
+        f = _sp.jv(nu, z)
+        left = (f > 0.0) == lo_positive
+        lo, hi = np.where(left, z, lo), np.where(left, hi, z)
+        new = z - f / (_sp.jv(nu - 1.0, z) - nu / z * f)
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - z) <= 4.0 * np.finfo(float).eps * z
+        z = new
+        if done.all():
+            break
+    return z
 
 
 @dataclass(frozen=True)

@@ -321,22 +321,12 @@ def _cmd_facile(args, config: RunConfig, out: _Writer) -> int:
 
 
 def _cmd_selftest(args, config: RunConfig, out: _Writer) -> int:
-    from .acceptance import CRITERIA, run_all
-    fns = CRITERIA
+    from .acceptance import run_all
+    wanted = None
     if args.criteria:
         wanted = {int(t) for t in args.criteria.split(",")}
-        bad = wanted - set(range(1, len(CRITERIA) + 1))
-        if bad:
-            raise ValueError(f"unknown criteria {sorted(bad)}")
-        fns = tuple(fn for i, fn in enumerate(CRITERIA, 1) if i in wanted)
-    results = []
-    for fn in fns:
-        import time
-        t0 = time.perf_counter()
-        r = fn()
-        elapsed = time.perf_counter() - t0
-        results.append(r)
-        print(f"{r.line()}  [{elapsed:.1f}s]", file=sys.stderr)
+    results = run_all(report=lambda line: print(line, file=sys.stderr),
+                      criteria=wanted)
     out.table(["criterion", "name", "passed", "detail"],
               [[r.index, r.name, r.passed, r.detail] for r in results])
     failed = [r.index for r in results if not r.passed]

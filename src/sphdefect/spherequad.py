@@ -10,8 +10,8 @@ cancellations exact per realization.
 High polynomial degrees (the variance series needs exactness ~4e5) use
 Fejer rules (even d; FFT weights, O(n log n)) and closed-form
 Gauss-Chebyshev rules for the weight sqrt(1-t^2) (odd d); Gauss-Legendre
-node generation is O(n^2) in scipy and is kept for moderate orders and as
-the public interval rule.
+node generation is a dense O(n^3) eigenvalue solve and is kept for
+moderate orders and as the public interval rule.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "gegenbauer_moment",
     "gegenbauer_moment_table",
     "cubic_integral",
-    "grid_to_csv",
 ]
 
 
@@ -57,14 +56,33 @@ class IntervalRule:
 
 
 def gauss_legendre(n: int) -> IntervalRule:
-    """n-point Gauss-Legendre rule on [-1, 1], exactness degree 2n - 1."""
+    """n-point Gauss-Legendre rule on [-1, 1], exactness degree 2n - 1.
+
+    Golub-Welsch step for step as scipy.special.roots_legendre computes it
+    (same nodes and weights), except that the Jacobi matrix's eigenvalues
+    come from numpy.linalg.eigvalsh: roots_legendre imports scipy.linalg
+    on its first call.  The nodes and weights are exactly +-symmetric
+    (used for parity arguments).
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    nodes, weights = _sp.roots_legendre(n)
-    # enforce exact +-symmetry of the node set (used for parity arguments)
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return IntervalRule(nodes, weights, 2 * n - 1)
+    k = np.arange(1.0, n)
+    b = k * np.sqrt(1.0 / (4 * k * k - 1))
+    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    # one Newton step on P_n, then w = 1/(P_{n-1} P_n') with both factors
+    # scaled to the middle of their log range
+    p = _sp.eval_legendre
+    dp = (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)
+    x -= p(n, x) / dp
+    pm = p(n - 1, x)
+    log_pm, log_dp = np.log(np.abs(pm)), np.log(np.abs(dp))
+    pm /= np.exp((log_pm.max() + log_pm.min()) / 2.)
+    dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)
+    w = 1.0 / (pm * dp)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return IntervalRule(x, w, 2 * n - 1)
 
 
 def fejer_rule(n: int) -> IntervalRule:
@@ -108,7 +126,7 @@ def chebyshev_sqrt_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-_GL_CUTOFF = 700  # beyond this scipy's O(n^2) root solve is slower than CC
+_GL_CUTOFF = 700  # beyond this the Gauss-Legendre node solve is slower than CC
 
 
 def _weight_rule(d: int, poly_degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,9 +386,3 @@ def build_grid(d: int, degree: int, point_budget: int = 4_000_000) -> Quadrature
         n_phi=n_phi,
     )
 
-
-def grid_to_csv(grid: QuadratureGrid, path: str) -> None:
-    """Dump a grid as CSV with columns x0..xd, weight (debugging aid)."""
-    header = ",".join(f"x{i}" for i in range(grid.d + 1)) + ",weight"
-    data = np.column_stack([grid.points, grid.weights])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")

@@ -185,6 +185,22 @@ class TestCoefficients:
             assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+class TestBesselZeros:
+    @pytest.mark.parametrize("d", [5, 9, 21, 41, 61])
+    def test_half_integer_order_matches_mpmath(self, d):
+        import mpmath
+
+        from sphdefect.chaos import _DEFAULT_LOBES, _bessel_zeros
+
+        nu = mpmath.mpf(d - 2) / 2
+        ref = np.array([float(mpmath.besseljzero(nu, k))
+                        for k in range(1, _DEFAULT_LOBES + 1)])
+        zeros = _bessel_zeros(d, _DEFAULT_LOBES)
+        # d >= 41 once returned the second zero twice and missed the first
+        assert np.all(np.diff(zeros) > 0.0)
+        assert np.max(np.abs(zeros - ref) / ref) <= 1e-13
+
+
 class TestConstant:
     def test_golden_both_methods(self, golden):
         ref = golden("constants")["C_d"]

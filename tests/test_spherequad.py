@@ -11,7 +11,7 @@ from sphdefect.specfun import eigenspace_dim, gegenbauer, sphere_surface
 from sphdefect.spherequad import (_weight_rule, build_grid, chebyshev_sqrt_rule,
                                   cubic_integral, fejer_rule, gauss_legendre,
                                   gegenbauer_moment, gegenbauer_moment_table,
-                                  geodesic, grid_to_csv)
+                                  geodesic)
 
 
 class TestIntervalRules:
@@ -27,6 +27,15 @@ class TestIntervalRules:
             assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) == 0.0
             assert np.max(np.abs(rule.weights - rule.weights[::-1])) == 0.0
             assert np.sum(rule.weights) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 160, 401, 700])
+    def test_gauss_legendre_matches_scipy_roots(self, n):
+        from scipy.special import roots_legendre
+
+        nodes, weights = roots_legendre(n)
+        rule = gauss_legendre(n)
+        assert np.max(np.abs(rule.nodes - nodes), initial=0.0) <= 4e-16
+        assert np.max(np.abs(rule.weights - weights), initial=0.0) <= 4e-16
 
     def test_fejer_positive_and_exact(self):
         rule = fejer_rule(20)
@@ -190,12 +199,3 @@ class TestGrid:
     def test_point_budget(self):
         with pytest.raises(ValueError):
             build_grid(3, 2000)
-
-    def test_grid_csv_roundtrip(self, tmp_path):
-        grid = build_grid(2, 5)
-        path = tmp_path / "grid.csv"
-        grid_to_csv(grid, str(path))
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (grid.size, grid.d + 2)
-        assert np.array_equal(data[:, :-1], grid.points)
-        assert np.array_equal(data[:, -1], grid.weights)
