@@ -308,7 +308,11 @@ def gaunt_table(d: int, l: int) -> GauntTable:
             f"exceeds budget {_GAUNT_FLOP_BUDGET:.0e}"
         )
     b = basis.evaluate_on_grid(grid)
-    t = np.einsum("ip,jp,kp->ijk", b * grid.weights, b, b, optimize=True)
+    bw = b * grid.weights
+    # one dgemm per slice: O(n P) scratch, not the n^2 P triple product
+    t = np.empty((n, n, n))
+    for i in range(n):
+        np.matmul(bw[i] * b, b.T, out=t[i])
     t = (t + t.transpose(0, 2, 1) + t.transpose(1, 0, 2)
          + t.transpose(1, 2, 0) + t.transpose(2, 0, 1) + t.transpose(2, 1, 0)) / 6.0
     # rounding makes the six averages differ in the last bit per entry;

@@ -8,6 +8,14 @@ probabilists' Hermite polynomials, the scaled Bessel kernel
 hypersphere surface measures |S^d|, and eigenspace dimensions n_{l;d} of the
 degree-l spherical-harmonic space.  G_{l;d} is the covariance kernel of the
 unit-variance random eigenfunction, Jt_d its high-degree scaling limit.
+
+G_{l;d} is a finite cosine series in the angle (Szego, Orthogonal
+Polynomials, eq. 4.9.19), with lam = (d-1)/2 and positive coefficients:
+
+    C_l^lam(cos x) = sum_{k=0}^{l} (lam)_k (lam)_{l-k} / (k! (l-k)!) cos((l-2k) x).
+
+On the uniform angles of a Chebyshev rule one DCT of that series gives G at
+the exact rule angles; elsewhere G comes from the three-term recurrence.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 
 import numpy as np
 from scipy import special as _sp
+from scipy.fft import dct as _dct
 
 __all__ = [
     "GegenbauerEvaluator",
@@ -60,7 +69,7 @@ def _check_t_domain(t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.clip(t, -1.0, 1.0)
 
 
-# Nodes per block of the recurrence and of the power chain: the few float64
+# Values per block of the recurrence and of the power chain: the few float64
 # arrays of one block (64 KB each) stay in L2.
 _BLOCK = 8192
 # A power |G|^k whose log falls below this is under the smallest normal
@@ -80,7 +89,8 @@ class GegenbauerEvaluator:
 
     (G_0 = 1, G_1 = t), which keeps intermediates bounded by 1 on [-1, 1] and
     cannot overflow at any degree.  For d = 2 this is the Legendre recurrence.
-    Instances are immutable after construction and safe to share.
+    On Chebyshev points, :meth:`chebyshev_values` sums the cosine series
+    instead.  Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, d: int, degree: int):
@@ -95,6 +105,15 @@ class GegenbauerEvaluator:
         # G_{n+1} = (_a[n] * t * G_n - _b[n] * G_{n-1})
         self._a = 2.0 * (n + lam) / (n + 2.0 * lam)
         self._b = n / (n + 2.0 * lam)
+        # G(cos x) = c[0] + 2 sum_{m>=1} c[m] cos(m x), the DCT-III form:
+        # c[l-2k] = a_k a_{l-k} with a_k = (lam)_k / k!, scaled to G(1) = 1
+        k = np.arange(1.0, degree + 1)
+        a = np.cumprod(np.concatenate(([1.0], (lam + k - 1.0) / k)))
+        half = (a * a[::-1])[:degree // 2 + 1]
+        self._cos = np.zeros(degree + 1)
+        self._cos[degree::-2] = half
+        # G(1) = sum_k c_k: each half term twice, a middle one (even l) once
+        self._cos /= 2.0 * half.sum() - (half[-1] if degree % 2 == 0 else 0.0)
 
     def value(self, t):
         """G_{l;d}(t) for scalar or array t in [-1, 1]."""
@@ -130,45 +149,78 @@ class GegenbauerEvaluator:
             out[start:start + x.size] = cur
         return out.reshape(t.shape)
 
-    def powers_dot(self, t: np.ndarray, weights: np.ndarray, k_list) -> dict:
-        """Weighted sums  sum_i w_i G(t_i)^k  for every k in ``k_list``.
+    def chebyshev_values(self, n: int, kind: int) -> np.ndarray:
+        """G at the n Chebyshev points of the given kind, in ascending t.
 
-        The nodes are processed in blocks of ``_BLOCK`` that stay in L2.  Per
-        block, G is evaluated once and a running power steps through the
-        sorted orders: by G^2 while the parity of k stays, by G once where it
-        flips, so the odd-order chain 3, 5, ..., 2Q+1 costs one multiply and
-        one partial dot per order.  A block leaves the chain at the first
-        order where even its largest |G|^k is below the smallest normal
-        double (~2.2e-308); what it would still add is less than that times
-        its weight sum, far under the rounding of any moment.  Memory stays
-        O(len(t)) whatever the number of orders.  Relative rounding growth
-        of the power is O(k_max * eps).
+        kind 1: t_j = cos((2j-1) pi/(2n)), the Fejer nodes, by one DCT-III
+        of length n (needs n > degree).  kind 2: t_j = cos(j pi/(n+1)), the
+        Gauss nodes for the weight sqrt(1-t^2), by one DCT-I of length n+2;
+        at these angles cos(m x) equals the cosine of m's alias in [0, n+1],
+        so the series is folded there first and any n >= 1 works.  The
+        values are those at the exact angles: the coefficients are positive
+        and sum to 1, so the error is a few eps (no node rounding enters).
         """
-        t = np.asarray(t, dtype=float).reshape(-1)
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        ks = sorted(set(int(k) for k in k_list))
-        if ks and ks[0] < 0:
-            raise ValueError("powers must be >= 0")
-        sums = [0.0] * len(ks)
-        for start in range(0, t.size, _BLOCK):
-            g = self._recurrence(t[start:start + _BLOCK])
-            w = weights[start:start + _BLOCK]
-            with np.errstate(divide="ignore"):
-                log_max = float(np.log(np.max(np.abs(g))))
-            g2 = g * g
-            power = np.ones_like(g)
-            cur_k = 0
-            for i, k in enumerate(ks):
-                if k * log_max < _LOG_TINY:
-                    break
-                if (k - cur_k) % 2:
-                    power *= g
-                    cur_k += 1
-                while cur_k < k:
-                    power *= g2
-                    cur_k += 2
-                sums[i] += float(np.dot(w, power))
-        return dict(zip(ks, sums))
+        l = self.degree
+        if kind == 1:
+            if n <= l:
+                raise ValueError(f"need n > degree for Chebyshev points of the "
+                                 f"first kind, got n={n}, degree={l}")
+            x = np.zeros(n)
+            x[:l + 1] = self._cos
+            return _dct(x, type=3)[::-1]
+        if kind != 2:
+            raise ValueError(f"kind must be 1 or 2, got {kind}")
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        # full coefficients of cos(m x), folded onto r in [0, p], p = n + 1;
+        # DCT-I takes the two end coefficients whole and the inner ones halved
+        p = n + 1
+        full = 2.0 * self._cos
+        full[0] = self._cos[0]
+        r = np.arange(l + 1) % (2 * p)
+        x = np.bincount(np.minimum(r, 2 * p - r), full, minlength=p + 1)
+        x[1:p] *= 0.5
+        return _dct(x, type=1)[-2:0:-1]
+
+
+def powers_dot(g: np.ndarray, weights: np.ndarray, k_list) -> dict:
+    """Weighted sums  sum_i w_i g_i^k  for every k in ``k_list``.
+
+    The values are processed in blocks of ``_BLOCK`` that stay in L2.  Per
+    block, a running power steps through the sorted orders: by g^2 while
+    the parity of k stays, by g once where it flips, so the odd-order chain
+    3, 5, ..., 2Q+1 costs one multiply and one partial dot per order.  A
+    block leaves the chain at the first order where even its largest |g|^k
+    is below the smallest normal double (~2.2e-308); what it would still add
+    is less than that times its weight sum, far under the rounding of any
+    moment.  Memory stays O(len(g)) whatever the number of orders.
+    Relative rounding growth of the power is O(k_max * eps).
+    """
+    g_all = np.asarray(g, dtype=float).reshape(-1)
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    ks = sorted(set(int(k) for k in k_list))
+    if ks and ks[0] < 0:
+        raise ValueError("powers must be >= 0")
+    sums = [0.0] * len(ks)
+    for start in range(0, g_all.size, _BLOCK):
+        g = g_all[start:start + _BLOCK]
+        w = weights[start:start + _BLOCK]
+        with np.errstate(divide="ignore"):
+            log_max = float(np.log(np.max(np.abs(g))))
+        g2 = g * g
+        power = np.ones_like(g)
+        cur_k = 0
+        for i, k in enumerate(ks):
+            if k * log_max < _LOG_TINY:
+                break
+            if (k - cur_k) % 2:
+                power *= g
+                cur_k += 1
+            while cur_k < k:
+                power *= g2
+                cur_k += 2
+            sums[i] += float(np.dot(w, power))
+    return dict(zip(ks, sums))
 
 
 # Cache evaluators; construction cost is O(degree) but harmless to reuse.

@@ -7,11 +7,20 @@ mathematics rather than discretization.  Grids on S^d are hyperspherical
 product rules, antipodally symmetric by construction, which makes parity
 cancellations exact per realization.
 
-High polynomial degrees (the variance series needs exactness ~4e5) use
-Fejer rules (even d; FFT weights, O(n log n)) and closed-form
-Gauss-Chebyshev rules for the weight sqrt(1-t^2) (odd d); Gauss-Legendre
-node generation is a dense O(n^3) eigenvalue solve and is kept for
-moderate orders and as the public interval rule.
+Gegenbauer moments (the variance series needs exactness ~4e5) use rules
+that are uniform in the angle t = cos x: Fejer rules (even d; FFT weights,
+O(n log n)) and closed-form Gauss-Chebyshev rules for the weight
+sqrt(1-t^2) (odd d).  On those angles G_{l;d} is its finite cosine series,
+lam = (d-1)/2,
+
+    G_{l;d}(cos x) = sum_{k=0}^{l} c_k cos((l-2k) x),
+    c_k proportional to (lam)_k (lam)_{l-k} / (k! (l-k)!),  sum_k c_k = 1,
+
+so one DCT of the coefficients gives G at the exact rule angles (DCT-III
+on Fejer rules, DCT-I on Chebyshev ones), in place of l recurrence steps
+per node.  Gauss-Legendre node generation is a dense O(n^3) eigenvalue
+solve; it serves the moderate orders of the product grids and of the
+angle-space rules elsewhere, and is the public interval rule.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 from scipy import special as _sp
 from scipy.fft import dct as _dct, next_fast_len
 
-from .specfun import _gegenbauer_evaluator, sphere_surface
+from .specfun import _gegenbauer_evaluator, powers_dot, sphere_surface
 
 __all__ = [
     "IntervalRule",
@@ -55,24 +64,21 @@ class IntervalRule:
         return float(np.dot(self.weights, values))
 
 
-def gauss_legendre(n: int) -> IntervalRule:
-    """n-point Gauss-Legendre rule on [-1, 1], exactness degree 2n - 1.
+def _golub_welsch(n: int, b: np.ndarray, p, c: float, mass: float):
+    """Symmetric Gauss rule from the off-diagonal b of its Jacobi matrix.
 
-    Golub-Welsch step for step as scipy.special.roots_legendre computes it
-    (same nodes and weights), except that the Jacobi matrix's eigenvalues
-    come from numpy.linalg.eigvalsh: roots_legendre imports scipy.linalg
-    on its first call.  The nodes and weights are exactly +-symmetric
-    (used for parity arguments).
+    Step for step as scipy.special's roots_legendre and roots_gegenbauer
+    compute it (same nodes and weights), except that the eigenvalues come
+    from numpy.linalg.eigvalsh: scipy's versions import scipy.linalg on
+    their first call.  ``p(n, x)`` is the orthogonal polynomial, whose
+    derivative is (-n x p_n + (n + c) p_{n-1}) / (1 - x^2); the weights sum
+    to ``mass``.  Nodes and weights are exactly +-symmetric (used for
+    parity arguments).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    k = np.arange(1.0, n)
-    b = k * np.sqrt(1.0 / (4 * k * k - 1))
     x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    # one Newton step on P_n, then w = 1/(P_{n-1} P_n') with both factors
+    # one Newton step on p_n, then w = 1/(p_{n-1} p_n') with both factors
     # scaled to the middle of their log range
-    p = _sp.eval_legendre
-    dp = (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)
+    dp = (-n * x * p(n, x) + (n + c) * p(n - 1, x)) / (1 - x ** 2)
     x -= p(n, x) / dp
     pm = p(n - 1, x)
     log_pm, log_dp = np.log(np.abs(pm)), np.log(np.abs(dp))
@@ -81,8 +87,35 @@ def gauss_legendre(n: int) -> IntervalRule:
     w = 1.0 / (pm * dp)
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
+    w *= mass / w.sum()
+    return x, w
+
+
+def gauss_legendre(n: int) -> IntervalRule:
+    """n-point Gauss-Legendre rule on [-1, 1], exactness degree 2n - 1.
+
+    Same nodes and weights as scipy.special.roots_legendre (see
+    :func:`_golub_welsch`).
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    k = np.arange(1.0, n)
+    x, w = _golub_welsch(n, k * np.sqrt(1.0 / (4 * k * k - 1)), _sp.eval_legendre, 0, 2.0)
     return IntervalRule(x, w, 2 * n - 1)
+
+
+def _gauss_gegenbauer(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1-t^2)^a, integer a >= 1.
+
+    Same nodes and weights as scipy.special.roots_jacobi(n, a, a), which is
+    roots_gegenbauer(n, a + 1/2) (see :func:`_golub_welsch`).
+    """
+    alpha = a + 0.5
+    k = np.arange(1.0, n)
+    b = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
+    mass = np.sqrt(np.pi) * _sp.gamma(alpha + 0.5) / _sp.gamma(alpha + 1)
+    return _golub_welsch(n, b, lambda m, x: _sp.eval_gegenbauer(m, alpha, x),
+                         2 * alpha - 1, mass)
 
 
 def fejer_rule(n: int) -> IntervalRule:
@@ -131,24 +164,27 @@ _GL_CUTOFF = 700  # beyond this the Gauss-Legendre node solve is slower than CC
 
 def _weight_rule(d: int, poly_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating f(t) (1-t^2)^((d-2)/2) dt exactly on [-1, 1]
-    for every polynomial f with deg f <= poly_degree."""
+    for every polynomial f with deg f <= poly_degree.
+
+    The rule is uniform in the angle at every size: Fejer (first-kind
+    Chebyshev points) for even d, Gauss-Chebyshev of the second kind for
+    odd d.  Lengths are FFT-friendly, since the weights and the Gegenbauer
+    values on the rule are DCTs of that length; extra nodes only raise the
+    exactness.
+    """
     m = d - 2
     if m < 0:
         raise ValueError(f"need d >= 2, got {d}")
     if m % 2 == 0:
         need = poly_degree + m  # weight folded into the integrand
-        if need <= _GL_CUTOFF:
-            rule = gauss_legendre(need // 2 + 1)
-        else:
-            # an FFT-friendly length: the DCT is several times faster, and
-            # extra nodes only raise the exactness
-            rule = fejer_rule(next_fast_len(need + 1))
+        rule = fejer_rule(next_fast_len(need + 1))
         t, w = rule.nodes, rule.weights
         if m:
             w = w * (1.0 - t * t) ** (m // 2)
         return t, w
     need = poly_degree + (m - 1)
-    n = need // 2 + 1
+    # n + 1 5-smooth: the values' DCT-I runs as a real FFT of length 2(n+1)
+    n = next_fast_len(need // 2 + 2, real=True) - 1
     t, w = chebyshev_sqrt_rule(n)
     if m > 1:
         w = w * (1.0 - t * t) ** ((m - 1) // 2)
@@ -162,9 +198,11 @@ def gegenbauer_moment_table(d: int, l: int, k_list) -> dict:
     Equals the theta form  int_0^pi G(cos x)^k (sin x)^(d-1) dx.  The rule is
     sized for the largest power evaluated, so every returned value is exact
     up to rounding.  Odd k*l gives exactly 0.0 by parity, with nothing
-    evaluated.  The rule is +-symmetric and G(-t) = (-1)^l G(t) holds bit for
-    bit, so the even moments sum over the nodes t >= 0 only, with doubled
-    weights (a centre node t = 0 keeps its single weight).
+    evaluated.  The rule is +-symmetric and G(-t) = (-1)^l G(t), so the even
+    moments sum over the nodes t >= 0 only, with doubled weights (a centre
+    node t = 0 keeps its single weight).  G on the rule is one DCT of its
+    cosine series (GegenbauerEvaluator.chebyshev_values), at the exact rule
+    angles.
     """
     ks = sorted(set(int(k) for k in k_list))
     if not ks or ks[0] < 1:
@@ -175,11 +213,15 @@ def gegenbauer_moment_table(d: int, l: int, k_list) -> dict:
         return out
     t, w = _weight_rule(d, even[-1] * l)
     assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
-    h = t.size // 2
+    n = t.size
+    h = n // 2
     w_half = 2.0 * w[h:]
-    if t.size % 2:
+    if n % 2:
         w_half[0] = w[h]
-    out.update(_gegenbauer_evaluator(d, l).powers_dot(t[h:], w_half, even))
+    del t, w  # only the t >= 0 half goes on; the transform needs the room
+    g = np.ascontiguousarray(
+        _gegenbauer_evaluator(d, l).chebyshev_values(n, 2 if d % 2 else 1)[h:])
+    out.update(powers_dot(g, w_half, even))
     return out
 
 
@@ -303,9 +345,7 @@ def _polar_rule(alpha2: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
             rule = gauss_legendre(n)
             t, w = rule.nodes, rule.weights
         else:
-            t, w = _sp.roots_jacobi(n, alpha2 / 2.0, alpha2 / 2.0)
-            t = 0.5 * (t - t[::-1])
-            w = 0.5 * (w + w[::-1])
+            t, w = _gauss_gegenbauer(n, alpha2 // 2)
     else:
         n = (degree + alpha2 - 1) // 2 + 1
         t, w = chebyshev_sqrt_rule(n)

@@ -82,6 +82,16 @@ class TestGauntTable:
         for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             assert np.array_equal(t, np.transpose(t, perm))
 
+    @pytest.mark.parametrize("d,l", [(2, 6), (2, 20), (3, 4)])
+    def test_matches_triple_product_contraction(self, d, l):
+        # the per-slice dgemm against the direct weighted triple product
+        basis = build_basis(d, l)
+        grid = build_grid(d, 3 * l)
+        b = basis.evaluate_on_grid(grid)
+        ref = np.einsum("ip,jp,kp->ijk", b * grid.weights, b, b)
+        got = gaunt_table(d, l).coefficients
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
     def test_zonal_triple_closed_form(self):
         # zonal x zonal x zonal reduces to the Legendre cube integral
         for l in (2, 4, 6):

@@ -16,9 +16,10 @@ _PROBE = """
 import sys
 import sphdefect
 import sphdefect.cli
-from sphdefect import clt_experiment, constant_estimate
+from sphdefect import build_grid, clt_experiment, constant_estimate
 clt_experiment(3, 4, 20)
 constant_estimate(5, "integral", n_lobes=10)
+build_grid(4, 20)
 print(",".join(m for m in ("scipy.stats", "scipy.optimize", "scipy.linalg")
                if m in sys.modules))
 """

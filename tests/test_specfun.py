@@ -11,7 +11,7 @@ from sphdefect.specfun import (GegenbauerEvaluator, HermiteSequence,
                                ScaledBesselKernel, eigenspace_dim, gegenbauer,
                                hermite, hermite_even_at_zero, scaled_bessel,
                                sphere_surface)
-from sphdefect.specfun import _BLOCK, gegenbauer_lambda
+from sphdefect.specfun import _BLOCK, gegenbauer_lambda, powers_dot
 
 
 def test_sphere_surface_known_values():
@@ -95,8 +95,8 @@ class TestGegenbauer:
         rng = np.random.default_rng(5)
         t = rng.uniform(-1.0, 1.0, 64)
         w = rng.uniform(0.1, 1.0, 64)
-        got = ev.powers_dot(t, w, [0, 3, 7, 8])
         g = ev.value(t)
+        got = powers_dot(g, w, [0, 3, 7, 8])
         for k, v in got.items():
             assert v == pytest.approx(float(np.dot(w, g**k)), rel=1e-13, abs=1e-15)
 
@@ -110,10 +110,10 @@ class TestGegenbauer:
         t = rng.uniform(-1.0, 1.0, n)
         w = rng.uniform(0.1, 1.0, n)
         ks = [0, 1, 2, 5, 6, 11, 14]
-        got = ev.powers_dot(t, w, ks)
+        g = ev.value(t)
+        got = powers_dot(g, w, ks)
         assert sorted(got) == ks
         assert got[0] == pytest.approx(float(np.sum(w)), rel=1e-13)
-        g = ev.value(t)
         for k in ks:
             scale = float(np.dot(w, np.abs(g) ** k))
             assert abs(got[k] - float(np.dot(w, g**k))) <= 1e-13 * scale + 1e-300
@@ -131,7 +131,7 @@ class TestGegenbauer:
         for t in (low, np.concatenate([low, np.linspace(0.99, 1.0, _BLOCK)])):
             w = rng.uniform(0.1, 1.0, t.size)
             g = ev.value(t)
-            got = ev.powers_dot(t, w, ks)
+            got = powers_dot(g, w, ks)
             for k in ks:
                 # rounding of a chained power grows like k * eps
                 assert got[k] == pytest.approx(float(np.dot(w, g**k)), rel=1e-12,
@@ -160,6 +160,67 @@ class TestGegenbauer:
             for n in (0, 1, 4, 9):
                 ref = sp.eval_gegenbauer(n, lam, t) / sp.eval_gegenbauer(n, lam, 1.0)
                 assert np.max(np.abs(gegenbauer_lambda(lam, n, t) - ref)) < 1e-12
+
+
+class TestCosineSeries:
+    """G on Chebyshev points from one DCT of its cosine series."""
+
+    @staticmethod
+    def _angles(n, kind):
+        # exact angles of the points in ascending t, as mpmath numbers
+        import mpmath
+
+        if kind == 1:
+            return [(2 * (n - i) - 1) * mpmath.pi / (2 * n) for i in range(n)]
+        return [(n - i) * mpmath.pi / (n + 1) for i in range(n)]
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("l", [0, 1, 2, 7, 40, 400])
+    def test_matches_mpmath_at_exact_angles(self, d, l, kind):
+        # kind 1 with twice the degree's nodes; kind 2 with about half, so
+        # the series folds onto aliases for l >= 2
+        import mpmath
+
+        n = 2 * l + 3 if kind == 1 else l // 2 + 2
+        got = GegenbauerEvaluator(d, l).chebyshev_values(n, kind)
+        assert got.shape == (n,)
+        # both ends, the centre and points between (all points when few)
+        idx = sorted(set(np.linspace(0, n - 1, min(n, 25)).astype(int))
+                     | {0, 1, n // 2, n - 2, n - 1} & set(range(n)))
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(d - 1) / 2
+            norm = mpmath.gegenbauer(l, lam, 1)
+            angles = self._angles(n, kind)
+            ref = [float(mpmath.gegenbauer(l, lam, mpmath.cos(angles[i])) / norm)
+                   for i in idx]
+        assert np.max(np.abs(got[idx] - ref)) <= 2e-15
+
+    def test_short_second_kind_rule_aliases(self):
+        # 14 points for degree 25 (the size the moment table picks for k = 1
+        # at d = 3): every point must still equal the unfolded cosine sum
+        d, l, n = 3, 25, 14
+        ev = GegenbauerEvaluator(d, l)
+        theta = (n - np.arange(n)) * math.pi / (n + 1)
+        m = np.arange(l + 1)
+        full = np.where(m == 0, 1.0, 2.0) * ev._cos
+        direct = np.cos(np.outer(theta, m)) @ full
+        assert np.max(np.abs(ev.chebyshev_values(n, 2) - direct)) <= 1e-15
+        assert np.max(np.abs(ev.value(np.cos(theta)) - direct)) <= 1e-14
+
+    def test_coefficients_positive_and_sum_to_one(self):
+        for d, l in ((2, 0), (2, 9), (3, 12), (5, 300)):
+            c = GegenbauerEvaluator(d, l)._cos
+            assert np.all(c[l::-2] > 0.0)
+            assert l == 0 or np.all(c[l - 1::-2] == 0.0)
+            assert c[0] + 2.0 * np.sum(c[1:]) == pytest.approx(1.0, rel=1e-15)
+
+    def test_first_kind_needs_more_points_than_the_degree(self):
+        ev = GegenbauerEvaluator(2, 10)
+        with pytest.raises(ValueError):
+            ev.chebyshev_values(10, 1)
+        with pytest.raises(ValueError):
+            ev.chebyshev_values(11, 3)
 
 
 class TestHermite:

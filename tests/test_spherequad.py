@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy.fft import next_fast_len
 
-from sphdefect.specfun import eigenspace_dim, gegenbauer, sphere_surface
-from sphdefect.spherequad import (_weight_rule, build_grid, chebyshev_sqrt_rule,
-                                  cubic_integral, fejer_rule, gauss_legendre,
-                                  gegenbauer_moment, gegenbauer_moment_table,
-                                  geodesic)
+from sphdefect.specfun import (GegenbauerEvaluator, eigenspace_dim, gegenbauer,
+                               powers_dot, sphere_surface)
+from sphdefect.spherequad import (_polar_rule, _weight_rule, build_grid,
+                                  chebyshev_sqrt_rule, cubic_integral, fejer_rule,
+                                  gauss_legendre, gegenbauer_moment,
+                                  gegenbauer_moment_table, geodesic)
 
 
 class TestIntervalRules:
@@ -36,6 +37,19 @@ class TestIntervalRules:
         rule = gauss_legendre(n)
         assert np.max(np.abs(rule.nodes - nodes), initial=0.0) <= 4e-16
         assert np.max(np.abs(rule.weights - weights), initial=0.0) <= 4e-16
+
+    @pytest.mark.parametrize("alpha2", [2, 4])
+    @pytest.mark.parametrize("degree", [0, 5, 20, 61, 200])
+    def test_polar_rule_matches_scipy_roots_jacobi(self, alpha2, degree):
+        # the Gauss rule for (1-t^2)^(alpha2/2) of the S^d product grids
+        from scipy.special import roots_jacobi
+
+        t, w = _polar_rule(alpha2, degree)
+        nodes, weights = roots_jacobi(t.size, alpha2 / 2.0, alpha2 / 2.0)
+        assert t.size == (degree + alpha2) // 2 + 1
+        assert np.max(np.abs(t - nodes)) <= 1e-14
+        assert np.max(np.abs(w - weights)) <= 1e-14
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
 
     def test_fejer_positive_and_exact(self):
         rule = fejer_rule(20)
@@ -108,6 +122,52 @@ class TestMoments:
             assert t.size == next_fast_len(degree + d - 1)
             assert np.array_equal(t, -t[::-1])
             assert np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("degree", [1, 26, 399, 5_001])
+    def test_weight_rule_odd_d_has_5_smooth_chebyshev_length(self, d, degree):
+        # odd d: Gauss-Chebyshev of the second kind with n + 1 5-smooth, the
+        # smallest such n that is exact for the degree, and the weight
+        # (1-t^2)^((d-2)/2) integrated exactly up to it (t^k rounds by
+        # about k eps, 1e-12 at k = 5000)
+        t, w = _weight_rule(d, degree)
+        n = t.size
+        need = degree + d - 3
+        assert n + 1 == next_fast_len(need // 2 + 2, real=True)
+        m = n + 1
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        assert m == 1
+        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+        k = degree - degree % 2
+        exact = math.exp(math.lgamma((k + 1) / 2) + math.lgamma(d / 2)
+                         - math.lgamma((k + d + 1) / 2))
+        assert float(np.dot(w, t ** k)) == pytest.approx(exact, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_short_chebyshev_rule_first_moment_vanishes(self, d):
+        # k = 1 at l = 26 builds a second-kind rule with fewer than l + 1
+        # nodes, so G comes from the folded series; int G w = 0 for l >= 1
+        t, _ = _weight_rule(d, 26)
+        assert t.size < 27
+        assert abs(gegenbauer_moment_table(d, 26, [1])[1]) <= 1e-15
+
+    def test_high_order_moment_stable_across_rule_lengths(self):
+        # M_{2Q+1} at d=2, l=400, Q = 866 (the budget cap): the table's own
+        # Fejer rule and a 694,577-node one (with a centre node) agree to
+        # 1e-11; G by the recurrence on the rounded nodes moves it by
+        # ~1e-10 between such rules
+        d, l, k = 2, 400, 1733
+        table = gegenbauer_moment_table(d, l, [k])[k]
+        n = 694_577
+        rule = fejer_rule(n)
+        h = n // 2
+        w_half = 2.0 * rule.weights[h:]
+        w_half[0] = rule.weights[h]
+        g = GegenbauerEvaluator(d, l).chebyshev_values(n, 1)[h:]
+        other = powers_dot(g, w_half, [k])[k]
+        assert other == pytest.approx(table, rel=1e-11, abs=0.0)
 
     def test_second_moment_is_inverse_dimension(self):
         # int_{-1}^{1} G^2 w_d = |S^{d-1}|^{-1} |S^d| / n_{l;d}
