@@ -8,7 +8,15 @@ chaoses; its variance is the series
 with weights w_q = J_{2q+1}^2/(2q+1)! = (2/pi) (2q)! / (4^q (q!)^2 (2q+1)),
 the squared odd-chaos coefficients of the sign function (equivalently the
 Taylor coefficients of (2/pi) arcsin).  This module computes the weights
-stably to q ~ 1e6, the variance with a certified truncation bound, the
+stably to q ~ 1e6, and the variance as a certified bracket: the series to
+order q plus an enclosure of |S^d||S^(d-1)| int_0^pi R_q(G(cos x)) (sin
+x)^(d-1) dx, R_q(g) = (2/pi)(arcsin g - g) - sum_{j<=q} w_j g^(2j+1).  R_q
+has positive Taylor coefficients, so it is odd and increasing: a cell with
+lo <= G <= hi adds between mu R_q(lo) and mu R_q(hi).  On the polar cap x
+<= 1.25/l, G(cos x) = sum_m c_m cos(m x), all c_m > 0 (Szego 4.9.19),
+falls strictly (m x < pi), so cell ends enclose G exactly; beyond, the
+degree-l trig polynomial G(cos x), |G| <= 1, has |G''| <= l^2 (Bernstein;
+Borwein & Erdelyi 1995), so it is within l^2 h^2/8 of its chord.  Also the
 scaled limit constant
 
     C_d = 2 |S^d||S^(d-1)| sum_{q>=1} w_q c_{2q+1;d},
@@ -32,9 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import sphere_surface, _kernel
-from .spherequad import gauss_legendre, gegenbauer_moment_table, fejer_rule
-from .specfun import _gegenbauer_evaluator
+from .specfun import sphere_surface, _gegenbauer_evaluator, _horner, _kernel
+from .spherequad import _half_angle_integral, gauss_legendre, gegenbauer_moment_table
 
 __all__ = [
     "ChaosCoefficients",
@@ -145,13 +152,9 @@ def indicator_l2_sum(q_max: int = 100_000) -> float:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Exact-series defect variance with a certified truncation bound.
-
-    value is the chaos series truncated at q_used; tail_bound is a rigorous
-    upper bound for the discarded remainder (every discarded moment is
-    dominated by the exactly computed even moment of order 2 q_used + 2,
-    and the discarded weights by the Hurwitz-zeta majorant).
-    """
+    """Defect variance certified in [value, value + tail_bound]: the series
+    to order q_used (terms per_q) plus its remainder's lower enclosure, less
+    the rounding allowance; tail_bound is the width, allowances included."""
 
     d: int
     l: int
@@ -163,78 +166,122 @@ class VarianceReport:
     tol_achieved: bool
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "l": self.l,
-            "q_used": self.q_used,
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "tol": self.tol,
-            "tol_achieved": self.tol_achieved,
-        }
+        keys = ("d", "l", "q_used", "value", "tail_bound", "tol", "tol_achieved")
+        return {k: getattr(self, k) for k in keys}
 
 
-# q_cap solves 2 Q^2 l = _COST_BUDGET.  An order-Q table builds a rule of
-# ~(2Q+2) l nodes and folds it onto t >= 0, ~(Q+1) l nodes.  G on the rule
-# is one DCT of its cosine series, O(Q l log(Q l)); each folded node then
-# pays one multiply and one dot term per odd order until the powers of its
-# block underflow: at most ~Q^2 l = _COST_BUDGET / 2 power work, of which
-# the underflow cut leaves 10-16% at the paper's variance points.  The
-# budget fixes the schedule, hence q_used and the certificate, so it is not
-# retuned to the faster kernel.
-_COST_BUDGET = 6e8
+# Relative rounding allowance at each end of the bracket: partial sums moved
+# <= 1.3e-13 across rule sizes (d <= 5, l <= 400, q <= 2048), weights match
+# mpmath to 3e-15, and the enclosure rounds far below that.
+_ROUNDING = 2e-12
+_Q_MIN, _Q_MAX = 64, 2048
+# a table order costs ~500 l + 8000 R_q steps at a cap edge (0.8 ns each)
+_TABLE_COST = (500, 8000)
+
+
+def _remainder(g, q: int) -> np.ndarray:
+    """R_q(g), |g| <= 1: the difference, partial sum by Horner in g^2, for
+    g^2 > 1/4; below, where that cancels, the positive tail g^(2q+3)
+    sum_{j<40} w_(q+1+j) g^(2j), short by < (4/3) 4^-40 (decreasing w).
+    """
+    g = np.asarray(g, dtype=float)
+    w = chaos_weights_upto(q + 40)
+    small = g * g <= 0.25
+    gs, gb = g[small], g[~small]
+    out = np.empty_like(g)
+    out[small] = gs ** (2 * q + 3) * _horner(w[q:], gs * gs)
+    out[~small] = (2.0 / math.pi) * (np.arcsin(gb) - gb) - gb ** 3 * _horner(w[:q], gb * gb)
+    return out
+
+
+def _sin_power_integral(n: int, x: np.ndarray) -> np.ndarray:
+    """int_0^x (sin t)^n dt, 0 <= x <= pi/2, to 2e-14 relative (n <= 7): up
+    to pi/4 int_0^(sin x) u^n (1-u^2)^(-1/2) du, beyond the whole less
+    int_0^(cos x) (1-u^2)^((n-1)/2) du, each by 56 terms of its binomial
+    series in u^2 <= 1/2 (< 2e-17 left; positive, resp. first-term led).
+    """
+    k, odd = np.arange(1.0, 56.0), np.arange(1.0, 112.0, 2.0)
+    up = np.cumprod(np.r_[1.0, (k - 0.5) / k]) / (odd + n)
+    down = np.cumprod(np.r_[1.0, (k - 1.0 - (n - 1) / 2.0) / k]) / odd
+    near = x <= math.pi / 4
+    s, c = np.sin(x[near]), np.cos(x[~near])
+    out = np.empty_like(x)
+    out[near] = s ** (n + 1) * _horner(up, s * s)
+    out[~near] = (math.sqrt(math.pi) * math.gamma((n + 1) / 2.0) / (2.0 * math.gamma(n / 2.0 + 1.0))
+                  - c * _horner(down, c * c))
+    return out
+
+
+def _tail_bracket(d: int, l: int, q: int, cells: int) -> tuple[float, float]:
+    """[lo, hi] enclosing int_0^pi R_q(G(cos x)) (sin x)^(d-1) dx, even l,
+    as twice [0, pi/2].  The cap [0, X], X = j0 pi/p in [1/l, 1.25/l], has
+    ``cells`` cells, geometric from 1e-2/(l sqrt(q)) but the first from 0 (G
+    from its pole series, R_q once per edge); beyond, width pi/p <= 1/(4l).
+    """
+    ev = _gegenbauer_evaluator(d, l)
+    p = 2 * math.ceil(2.0 * math.pi * l)
+    j0 = math.ceil(p / (math.pi * l))
+    x_out = np.arange(j0, p // 2 + 1) * (math.pi / p)
+    g_out = ev.chebyshev_values(p - 1, 2)[::-1][j0 - 1:p // 2]
+    x_cap = np.geomspace(1e-2 / (l * math.sqrt(q)), x_out[0], cells + 1)
+    x_cap[0] = 0.0
+    slack = (l * math.pi / p) ** 2 / 8.0
+    lo_out = np.maximum(np.minimum(g_out[:-1], g_out[1:]) - slack, -1.0)
+    hi_out = np.minimum(np.maximum(g_out[:-1], g_out[1:]) + slack, 1.0)
+    r = _remainder(np.concatenate((1.0 - ev.pole_gap(x_cap), lo_out, hi_out)), q)
+    r_cap, r_lo, r_hi = np.split(r, [cells + 1, cells + 1 + lo_out.size])
+    mu = np.diff(_sin_power_integral(d - 1, np.concatenate((x_cap, x_out[1:]))))
+    return (2.0 * float(mu @ np.concatenate((r_cap[1:], r_lo))),
+            2.0 * float(mu @ np.concatenate((r_cap[:-1], r_hi))))
+
+
+def _plan(d: int, l: int, target: float, q_max: int | None) -> tuple[int, int]:
+    """(order, cap cells) for a bracket of relative width ``target``.
+
+    Cells of ratio e^eps, eps <= ln(125 sqrt(q))/cells, bracket the
+    remainder T to ~d eps T; T/Var is below the q^(-(3+d)/2) tail of sum
+    w_q c_{2q+1;d} over its first term.  Cells balance the table cost at
+    2 _TABLE_COST/(d-1), fewer if order _Q_MIN needs fewer, more (to 2^16)
+    if _Q_MAX needs more; the order is the least meeting ``target``.
+    """
+    k_d = _PI_32 * d ** (d / 2.0) * math.gamma(d / 2.0) / 2.0  # w_q c_{2q+1;d} ~ k_d q^-(3+d)/2
+
+    def need(q):
+        return (d * math.log(125.0 * math.sqrt(q)) * k_d * float(_sp.zeta((3 + d) / 2.0, q + 1))
+                / (_W1 * c3_closed(d) * target))
+    balance = 2.0 * (_TABLE_COST[0] * l + _TABLE_COST[1]) / (d - 1)
+    cells = int(max(1024, min(need(_Q_MIN), max(balance, min(need(_Q_MAX), 2 ** 16)))))
+    q = q_max or _Q_MIN
+    while q_max is None and q < _Q_MAX and need(q) > cells:
+        q = min(_Q_MAX, q + q // 4)
+    return q, cells
 
 
 def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) -> VarianceReport:
-    """Var(D_l) on S^d by the odd-chaos series with certified truncation.
+    """Var(D_l) on S^d as a certified bracket (see the module docstring).
 
     Odd l: exactly 0 (antipodal parity kills every odd moment).  Even l:
-    the truncation order runs through 64, 256, 1024, ... (x4 per step), then
-    the budget cap q_cap, and stops at the first order whose certified
-    relative tail bound is below ``tol``; an unreachable ``tol`` is reported
-    via ``tol_achieved``, never silently ignored.  ``q_max`` pins the
-    truncation order instead (used for tail-soundness checks).
-
-    The tail bound is |S^d||S^(d-1)| M_{2Q+2} weight_tail_bound(Q), with
-    M_k the computed moment.  Its rigour rests on a rounding allowance that
-    no margin states: weight_tail_bound's (1 + 1e-12) covers only the zeta
-    rounding, while the computed high-order moments hold about 2e-12
-    relative at d=2, l=400 (the order-1733 moment moved by at most 1.6e-12
-    across Fejer rules of 694,575 to 720,000 nodes).  The bracket [value,
-    value + tail_bound] is certified up to rounding of that size in
-    tail_bound.
+    the series to order q from the moment tables plus the enclosure of
+    :func:`_tail_bracket`, widened by _ROUNDING (relative) at both ends.
+    q is the cheapest order meeting tol/2 in the asymptotic model of
+    :func:`_plan` (a margin for where it runs low), unless ``q_max`` pins
+    it.  tol_achieved compares the computed width with ``tol``.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     if l % 2 == 1:
         return VarianceReport(d, l, 0, 0.0, 0.0, np.zeros(0), tol, True)
     ss = sphere_surface(d) * sphere_surface(d - 1)
-    q_cap = max(64, int(math.sqrt(_COST_BUDGET / (2.0 * l))))
-    if q_max is not None:
-        schedule = [min(q_max, q_cap)]
-    else:
-        schedule = []
-        q = 64
-        while q < q_cap:
-            schedule.append(q)
-            q *= 4
-        schedule.append(q_cap)
-    report = None
-    for q_used in schedule:
-        ks = list(range(3, 2 * q_used + 2, 2)) + [2 * q_used + 2]
-        table = gegenbauer_moment_table(d, l, ks)
-        w = chaos_weights_upto(q_used)
-        moments = np.array([table[2 * q + 1] for q in range(1, q_used + 1)])
-        per_q = ss * w * moments
-        value = float(np.sum(per_q))
-        tail = ss * table[2 * q_used + 2] * weight_tail_bound(q_used)
-        report = VarianceReport(
-            d, l, q_used, value, tail, per_q, tol,
-            tol_achieved=bool(tail <= tol * max(value, 1e-300)),
-        )
-        if report.tol_achieved:
-            break
-    return report
+    q, cells = _plan(d, l, max(0.5 * tol - 2.0 * _ROUNDING, _ROUNDING), q_max)
+    ks = range(3, 2 * q + 2, 2)
+    table = gegenbauer_moment_table(d, l, ks)
+    per_q = ss * chaos_weights_upto(q) * np.array([table[k] for k in ks])
+    partial = float(np.sum(per_q))
+    lo, hi = _tail_bracket(d, l, q, cells)
+    value = partial * (1.0 - _ROUNDING) + ss * lo
+    width = ss * (hi - lo) + 2.0 * _ROUNDING * partial
+    return VarianceReport(d, l, q, value, width, per_q, tol,
+                          bool(width <= tol * max(value, 1e-300)))
 
 
 def variance_closed_form(d: int, l: int) -> float:
@@ -242,26 +289,19 @@ def variance_closed_form(d: int, l: int) -> float:
     int_0^(pi/2) (arcsin G - G)(cos x) (sin x)^(d-1) dx  (even l only).
 
     Independent of the term-by-term route: the arcsin is evaluated directly
-    under an angle-space rule with geometric convergence (the integrand is
-    analytic), doubled until stationary.  Used as a cross-check oracle.
+    under Fejer rules in the angle, doubled until stationary (the integrand
+    is analytic).  Used as a cross-check oracle.
     """
     if l % 2 == 1:
         raise ValueError("closed form applies to even l only (odd l gives 0)")
     ev = _gegenbauer_evaluator(d, l)
-    n = max(128, 4 * l)
-    prev = None
-    while n <= 300_000:
-        rule = gauss_legendre(n) if n <= 700 else fejer_rule(n)
-        x = (rule.nodes + 1.0) * (math.pi / 4.0)
+
+    def f(x):
         g = np.clip(ev._recurrence(np.cos(x)), -1.0, 1.0)
-        f = (np.arcsin(g) - g) * np.sin(x) ** (d - 1)
-        val = (math.pi / 4.0) * float(np.dot(rule.weights, f))
-        if prev is not None and abs(val - prev) <= 5e-14 * max(1.0, abs(val)):
-            break
-        prev = val
-        n *= 2
-    ss = sphere_surface(d) * sphere_surface(d - 1)
-    return 4.0 / math.pi * ss * val
+        return (np.arcsin(g) - g) * np.sin(x) ** (d - 1)
+
+    val = _half_angle_integral(f, max(128, 4 * l), 5e-14, 300_000)
+    return 4.0 / math.pi * sphere_surface(d) * sphere_surface(d - 1) * val
 
 
 def c3_closed(d: int) -> float:

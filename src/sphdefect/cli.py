@@ -164,7 +164,7 @@ def _cmd_variance(args, config: RunConfig, out: _Writer) -> int:
                "q_used", "tol_achieved"], rows)
     if missed:
         print(f"note: tolerance {args.tol:g} not certified at l={missed}; "
-              "tail_bound column gives the certified remainder", file=sys.stderr)
+              "tail_bound column gives the certified bracket width", file=sys.stderr)
     return 0
 
 

@@ -15,7 +15,8 @@ Polynomials, eq. 4.9.19), with lam = (d-1)/2 and positive coefficients:
     C_l^lam(cos x) = sum_{k=0}^{l} (lam)_k (lam)_{l-k} / (k! (l-k)!) cos((l-2k) x).
 
 On the uniform angles of a Chebyshev rule one DCT of that series gives G at
-the exact rule angles; elsewhere G comes from the three-term recurrence.
+the exact rule angles, near the pole its Taylor series gives 1 - G to a few
+eps relative; elsewhere G comes from the three-term recurrence.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ class GegenbauerEvaluator:
         self._cos[degree::-2] = half
         # G(1) = sum_k c_k: each half term twice, a middle one (even l) once
         self._cos /= 2.0 * half.sum() - (half[-1] if degree % 2 == 0 else 0.0)
+        self._full = np.concatenate((self._cos[:1], 2.0 * self._cos[1:]))  # of cos(m x)
 
     def value(self, t):
         """G_{l;d}(t) for scalar or array t in [-1, 1]."""
@@ -175,12 +177,31 @@ class GegenbauerEvaluator:
         # full coefficients of cos(m x), folded onto r in [0, p], p = n + 1;
         # DCT-I takes the two end coefficients whole and the inner ones halved
         p = n + 1
-        full = 2.0 * self._cos
-        full[0] = self._cos[0]
         r = np.arange(l + 1) % (2 * p)
-        x = np.bincount(np.minimum(r, 2 * p - r), full, minlength=p + 1)
+        x = np.bincount(np.minimum(r, 2 * p - r), self._full, minlength=p + 1)
         x[1:p] *= 0.5
         return _dct(x, type=1)[-2:0:-1]
+
+    def pole_gap(self, x: np.ndarray) -> np.ndarray:
+        """1 - G(cos x) for 0 <= x <= pi/l, to a few eps relative: 14 terms
+        of the Taylor series sum_{k>=1} (-1)^(k+1) b_k (l x)^(2k) of the
+        cosine series, b_k = sum_m c_m (m/l)^(2k)/(2k)! <= 1/(2k)!, whose
+        terms decrease here (< 4e-18 left).  No node t = cos x is rounded.
+        """
+        k = np.arange(1, 15)
+        m2 = (np.arange(self.degree + 1) / max(self.degree, 1)) ** 2
+        b = (-1.0) ** (k + 1) * (m2[None, :] ** k[:, None] @ self._full) / _sp.factorial(2 * k)
+        y = (self.degree * np.asarray(x, dtype=float)) ** 2
+        return _horner(b, y) * y
+
+
+def _horner(coef, y: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] y^k, in place on one buffer."""
+    p = np.full_like(y, coef[-1])
+    for c in coef[-2::-1]:
+        p *= y
+        p += c
+    return p
 
 
 def powers_dot(g: np.ndarray, weights: np.ndarray, k_list) -> dict:

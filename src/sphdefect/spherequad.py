@@ -19,8 +19,9 @@ lam = (d-1)/2,
 so one DCT of the coefficients gives G at the exact rule angles (DCT-III
 on Fejer rules, DCT-I on Chebyshev ones), in place of l recurrence steps
 per node.  Gauss-Legendre node generation is a dense O(n^3) eigenvalue
-solve; it serves the moderate orders of the product grids and of the
-angle-space rules elsewhere, and is the public interval rule.
+solve; it serves the moderate orders of the product grids and the Bessel
+lobe panels, and is the public interval rule.  Adaptive angle-space
+integrals run Fejer rules at every size.
 """
 
 from __future__ import annotations
@@ -159,9 +160,6 @@ def chebyshev_sqrt_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-_GL_CUTOFF = 700  # beyond this the Gauss-Legendre node solve is slower than CC
-
-
 def _weight_rule(d: int, poly_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights integrating f(t) (1-t^2)^((d-2)/2) dt exactly on [-1, 1]
     for every polynomial f with deg f <= poly_degree.
@@ -225,19 +223,18 @@ def gegenbauer_moment_table(d: int, l: int, k_list) -> dict:
     return out
 
 
-def _half_range_odd(d: int, l: int, k: int) -> float:
-    # int_0^(pi/2) G(cos x)^k (sin x)^(d-1) dx for odd k*l, where the
-    # integrand is not even in t; analytic in x, so Gauss-Legendre in the
-    # angle converges geometrically.  Doubled until stationary.
-    n = max(64, 2 * k * l)
+def _half_angle_integral(f, n: int, rtol: float, n_max: int) -> float:
+    """int_0^(pi/2) f(x) dx by Fejer rules, doubled from n nodes until two
+    values agree to ``rtol`` (relative, floored at 1) or n passes n_max.
+
+    For the analytic angle-space integrands here this converges
+    geometrically (Trefethen, SIAM Review 2008); weights are one DCT.
+    """
     prev = None
-    while n <= 600_000:
-        rule = gauss_legendre(n) if n <= _GL_CUTOFF else fejer_rule(n)
-        x = (rule.nodes + 1.0) * (math.pi / 4.0)
-        f = _gegenbauer_evaluator(d, l)._recurrence(np.cos(x)) ** k
-        f *= np.sin(x) ** (d - 1)
-        val = (math.pi / 4.0) * float(np.dot(rule.weights, f))
-        if prev is not None and abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
+    while n <= n_max:
+        rule = fejer_rule(n)
+        val = (math.pi / 4.0) * rule.integrate(f((rule.nodes + 1.0) * (math.pi / 4.0)))
+        if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
             return val
         prev = val
         n *= 2
@@ -261,8 +258,10 @@ def gegenbauer_moment(d: int, l: int, k: int, range: str = "half") -> float:
         raise ValueError(f"range must be 'half' or 'full', got {range!r}")
     if range == "full":
         return gegenbauer_moment_table(d, l, [k])[k]
-    if (k * l) % 2 == 1:
-        return _half_range_odd(d, l, k)
+    if (k * l) % 2 == 1:  # the integrand is not even in t: angle-space rule
+        g = _gegenbauer_evaluator(d, l)._recurrence
+        return _half_angle_integral(lambda x: g(np.cos(x)) ** k * np.sin(x) ** (d - 1),
+                                    max(64, 2 * k * l), 1e-13, 600_000)
     return 0.5 * gegenbauer_moment_table(d, l, [k])[k]
 
 

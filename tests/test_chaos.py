@@ -12,7 +12,6 @@ from sphdefect.chaos import (ChaosCoefficients, c3_closed, c_coefficient,
                              variance_closed_form, weight_tail_bound,
                              weight_tail_estimate)
 from sphdefect.specfun import sphere_surface
-from sphdefect.spherequad import gegenbauer_moment_table
 
 
 class TestWeights:
@@ -104,14 +103,28 @@ class TestExactVariance:
         assert r2.tail_bound < r1.tail_bound
         assert abs(r2.value - variance_closed_form(2, 4)) <= r2.tail_bound
 
-    def test_tail_bound_carries_rounding_margin(self):
-        # the certificate multiplies the dominating even moment by the
-        # rounded-up zeta majorant of weight_tail_bound, margin included
+    def test_bracket_carries_rounding_allowance(self, monkeypatch):
+        # the bracket is the partial sum plus the cell enclosure of the
+        # remainder, widened at both ends by the documented relative
+        # allowance of 2e-12, and it holds the independent closed form
+        from sphdefect import chaos
+
+        assert chaos._ROUNDING == 2e-12
+        enclosures = []
+        real = chaos._tail_bracket
+        monkeypatch.setattr(chaos, "_tail_bracket",
+                            lambda *args: enclosures.append(real(*args)) or enclosures[-1])
         rep = exact_variance(2, 4, q_max=8)
         ss = sphere_surface(2) * sphere_surface(1)
-        even = gegenbauer_moment_table(2, 4, [18])[18]
-        assert rep.tail_bound == pytest.approx(ss * even * weight_tail_bound(8),
-                                               rel=2e-13, abs=0.0)
+        partial = float(np.sum(rep.per_q))
+        (lo, hi), = enclosures
+        assert rep.value == pytest.approx(partial + ss * lo - 2e-12 * partial,
+                                          rel=2e-13, abs=0.0)
+        assert rep.value + rep.tail_bound == pytest.approx(
+            partial + ss * hi + 2e-12 * partial, rel=2e-13, abs=0.0)
+        assert rep.tail_bound - ss * (hi - lo) == pytest.approx(4e-12 * partial,
+                                                                rel=1e-3, abs=0.0)
+        assert rep.value <= variance_closed_form(2, 4) <= rep.value + rep.tail_bound
 
     def test_odd_degree_exactly_zero(self):
         for d, l in ((2, 3), (2, 11), (3, 5), (5, 7)):
@@ -140,6 +153,70 @@ class TestExactVariance:
         c2 = constant_estimate(2, "series").value
         dev = abs(100**2 * exact_variance(2, 100, tol=1e-6).value - c2) / c2
         assert dev < 0.011  # 1/l decay of the relative defect
+
+
+class TestBracketProperties:
+    @settings(max_examples=16, deadline=None)
+    @given(d=st.integers(2, 5), half_l=st.integers(1, 30))
+    def test_bracket_holds_closed_form(self, d, half_l):
+        rep = exact_variance(d, 2 * half_l, tol=1e-6)
+        assert rep.value <= variance_closed_form(d, 2 * half_l) <= rep.value + rep.tail_bound
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(2, 6), half_l=st.integers(0, 300))
+    def test_odd_degree_exactly_zero(self, d, half_l):
+        rep = exact_variance(d, 2 * half_l + 1)
+        assert rep.value == 0.0 and rep.tail_bound == 0.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(d=st.integers(2, 4), half_l=st.integers(1, 20), q=st.integers(8, 200))
+    def test_width_falls_as_order_rises(self, d, half_l, q):
+        narrow = exact_variance(d, 2 * half_l, q_max=2 * q)
+        assert narrow.tail_bound < exact_variance(d, 2 * half_l, q_max=q).tail_bound
+
+    @pytest.mark.parametrize("q", [8, 256])
+    def test_remainder_matches_mpmath(self, q):
+        import mpmath
+
+        from sphdefect.chaos import _remainder
+
+        gs = [1e-3, 0.5, 0.9, 1.0 - 1e-12, 1.0]
+        got = _remainder(np.array(gs), q)
+        with mpmath.workdps(60):
+            w = [2 / mpmath.pi * mpmath.binomial(2 * j, j) / (4 ** j * (2 * j + 1))
+                 for j in range(1, q + 400)]
+            for g, r in zip(gs, got):
+                x = mpmath.mpf(g)
+                if g * g <= 0.25:  # positive tail, relative accuracy
+                    ref = mpmath.fsum(w[j - 1] * x ** (2 * j + 1) for j in range(q + 1, q + 400))
+                    assert r == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+                else:  # difference form, absolute error below 2 (q + 3) eps
+                    ref = 2 / mpmath.pi * (mpmath.asin(x) - x) - mpmath.fsum(
+                        w[j - 1] * x ** (2 * j + 1) for j in range(1, q + 1))
+                    assert abs(r - float(ref)) <= 2 * (q + 3) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d,l", [(2, 400), (3, 100)])
+    def test_cap_edges_non_increasing(self, d, l):
+        # the cap enclosure [G(b), G(a)] needs G monotone on [0, X], X <= 1.25/l
+        from sphdefect.specfun import _gegenbauer_evaluator
+
+        ev = _gegenbauer_evaluator(d, l)
+        x = np.concatenate(([0.0], np.geomspace(1e-2 / (l * 16), 1.25 / l, 20_000)))
+        g = 1.0 - ev.pole_gap(x)
+        assert np.all(np.diff(g) <= 0.0)
+        assert np.max(np.abs(g - ev.value(np.cos(x)))) <= 1e-11
+
+
+class TestExtrapolation:
+    @pytest.mark.parametrize("d,l0", [(2, 300), (3, 100)])
+    def test_richardson_limit_matches_golden_constant(self, golden, d, l0):
+        # l^d Var(D_l) = C_d + a_1/l + a_2/l^2 + ...: Richardson in 1/l over
+        # geometric l (closely spaced l amplify rounding and l mod 4 effects)
+        row = [l ** d * variance_closed_form(d, l) for l in (l0 * 2 ** k for k in range(5))]
+        for j in range(1, 5):
+            row = [b + (b - a) / (2 ** j - 1) for a, b in zip(row, row[1:])]
+        c_d = golden("constants")["C_d"][str(d)]
+        assert row[0] == pytest.approx(c_d, rel=1e-8)
 
 
 class TestCoefficients:

@@ -107,6 +107,21 @@ class TestVariance:
         assert out == ""
         assert (tmp_path / "sub" / "v.csv").exists()
 
+    def test_default_tolerance_certifies_at_l400(self, capsys):
+        code, out, err = run(["variance", "--d", "2", "--l", "400",
+                              "--no-timestamp"], capsys)
+        assert code == 0
+        row = out.splitlines()[3].split(",")
+        assert row[-1] == "true"
+        assert float(row[3]) <= 1e-8 * float(row[1])
+        assert "not certified" not in err
+
+    def test_missed_tolerance_note(self, capsys):
+        code, out, err = run(["variance", "--d", "2", "--l", "4", "--tol", "1e-15",
+                              "--no-timestamp"], capsys)
+        assert code == 0
+        assert "certified bracket width" in err
+
     def test_odd_degree_rows_are_zero(self, capsys):
         code, out, _ = run(["variance", "--d", "2", "--l", "5", "--tol", "1e-4",
                             "--no-timestamp"], capsys)
