@@ -36,7 +36,6 @@ from .montecarlo import (
 from .specfun import (
     eigenspace_dim,
     gegenbauer,
-    hermite,
     scaled_bessel,
     sphere_surface,
 )

@@ -44,13 +44,11 @@ from .specfun import sphere_surface, _gegenbauer_evaluator, _horner, _kernel
 from .spherequad import _half_angle_integral, gauss_legendre, gegenbauer_moment_table
 
 __all__ = [
-    "ChaosCoefficients",
     "VarianceReport",
     "ConstantEstimate",
     "FacileReport",
     "chaos_weight",
     "chaos_weights_upto",
-    "weight_tail_bound",
     "weight_tail_estimate",
     "indicator_l2_sum",
     "exact_variance",
@@ -90,15 +88,6 @@ def chaos_weight(q: int) -> float:
     return float(chaos_weights_upto(q)[-1])
 
 
-def weight_tail_bound(q_from: int) -> float:
-    """Rigorous upper bound for sum_{q > q_from} w_q.
-
-    w_q < pi^(-3/2) q^(-3/2) (Wendel's inequality for the central binomial),
-    so the tail is below pi^(-3/2) zeta(3/2, q_from + 1).
-    """
-    return _PI_32 * float(_sp.zeta(1.5, q_from + 1)) * (1.0 + 1e-12)
-
-
 # w_q = pi^(-3/2) q^(-3/2) (1 - (5/8)/q + (41/128)/q^2 - (159/1024)/q^3 + ...)
 _W_ASY = (1.0, -5.0 / 8.0, 41.0 / 128.0, -159.0 / 1024.0)
 
@@ -114,29 +103,6 @@ def weight_tail_estimate(q_from: int) -> float:
     for j, coeff in enumerate(_W_ASY):
         s += coeff * float(_sp.zeta(1.5 + j, q_from + 1))
     return _PI_32 * s
-
-
-@dataclass(frozen=True)
-class ChaosCoefficients:
-    """Chaos weights w_q and sign-function coefficients J_{2q+1}, q = 1..Q.
-
-    J_{2q+1} = sqrt(2/pi) H_{2q}(0) grows like (2q-1)!!, so it is stored as
-    (sign, log magnitude); only ratios ever matter downstream.
-    """
-
-    q_max: int
-    weights: np.ndarray
-    j_sign: np.ndarray
-    j_log: np.ndarray
-
-    @classmethod
-    def build(cls, q_max: int) -> "ChaosCoefficients":
-        w = chaos_weights_upto(q_max)
-        q = np.arange(1, q_max + 1)
-        # w_q = J^2/(2q+1)!  =>  log|J| = (log w_q + lgamma(2q+2)) / 2
-        j_log = 0.5 * (np.log(w) + _sp.gammaln(2 * q + 2))
-        j_sign = np.where(q % 2 == 0, 1.0, -1.0)
-        return cls(q_max=q_max, weights=w, j_sign=j_sign, j_log=j_log)
 
 
 def indicator_l2_sum(q_max: int = 100_000) -> float:

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .chaos import (c_coefficient, constant_estimate,
@@ -38,31 +37,23 @@ from .harmonics import circulant_closed, circulant_sum, gaunt_diagonal, \
 from .montecarlo import CltConfig, clt_experiment
 from .spherequad import gegenbauer_moment
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _ENV_OUTPUT_DIR = "SPHDEFECT_OUTPUT_DIR"
 
+# header keys of every run, null where a subcommand has no such flag
+_SHARED_KEYS = ("command", "d", "l", "l_range", "q", "q_range", "tol", "seed",
+                "n_realizations", "grid_degree", "output", "fmt")
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete, serializable description of one CLI run."""
 
-    command: str
-    d: int | None = None
-    l: int | None = None
-    l_range: str | None = None
-    q: int | None = None
-    q_range: str | None = None
-    tol: float | None = None
-    seed: int | None = None
-    n_realizations: int | None = None
-    grid_degree: int | None = None
-    output: str | None = None
-    fmt: str = "csv"
-
-    def to_json(self) -> str:
-        # sorted keys + compact separators: the header must be reproducible
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+def _run_config(args: argparse.Namespace) -> dict:
+    """Every parsed flag of the run under its header key (--n is
+    n_realizations); --no-timestamp only shapes the output."""
+    config = dict.fromkeys(_SHARED_KEYS)
+    for key, value in vars(args).items():
+        if key not in ("fn", "no_timestamp"):
+            config["n_realizations" if key == "n" else key] = value
+    return config
 
 
 def _parse_range(text: str) -> list[int]:
@@ -94,7 +85,7 @@ def _fmt(x) -> str:
 class _Writer:
     """Collects one run's output and emits it as CSV or JSON."""
 
-    def __init__(self, config: RunConfig, timestamp: bool):
+    def __init__(self, config: dict, timestamp: bool):
         self.config = config
         self.stamp = (datetime.datetime.now(datetime.timezone.utc).isoformat()
                       if timestamp else None)
@@ -107,9 +98,8 @@ class _Writer:
         self.rows = [list(r) for r in rows]
 
     def render(self) -> str:
-        if self.config.fmt == "json":
-            doc = {"package": f"sphdefect {__version__}",
-                   "config": json.loads(self.config.to_json())}
+        if self.config["fmt"] == "json":
+            doc = {"package": f"sphdefect {__version__}", "config": self.config}
             if self.stamp is not None:
                 doc["timestamp"] = self.stamp
             if self.payload is not None:
@@ -120,7 +110,9 @@ class _Writer:
         header = [f"# sphdefect {__version__}"]
         if self.stamp is not None:
             header.append(f"# timestamp: {self.stamp}")
-        header.append(f"# config: {self.config.to_json()}")
+        # sorted keys + compact separators: the header must be reproducible
+        config = json.dumps(self.config, sort_keys=True, separators=(",", ":"))
+        header.append(f"# config: {config}")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
@@ -150,7 +142,7 @@ def _deliver(text: str, path: str | None) -> None:
 # subcommand bodies: each returns the process exit code
 
 
-def _cmd_variance(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_variance(args, out: _Writer) -> int:
     ls = _values_from(args.l, args.l_range, "l")
     rows = []
     missed = []
@@ -168,7 +160,7 @@ def _cmd_variance(args, config: RunConfig, out: _Writer) -> int:
     return 0
 
 
-def _cmd_constant(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_constant(args, out: _Writer) -> int:
     lb = defect_constant_lower_bound(args.d)
     methods = ["series", "integral"] if args.method == "both" else [args.method]
     estimates = {m: constant_estimate(args.d, m, q_terms=args.q_terms,
@@ -197,7 +189,7 @@ def _cmd_constant(args, config: RunConfig, out: _Writer) -> int:
     return status
 
 
-def _cmd_ccoef(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_ccoef(args, out: _Writer) -> int:
     qs = _values_from(args.q, args.q_range, "q")
     rows = []
     for q in qs:
@@ -208,7 +200,7 @@ def _cmd_ccoef(args, config: RunConfig, out: _Writer) -> int:
     return 0
 
 
-def _cmd_gaunt(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_gaunt(args, out: _Writer) -> int:
     table = gaunt_table(args.d, args.l)
     path = _resolve_output(args.output)
     if path is None:
@@ -221,7 +213,7 @@ def _cmd_gaunt(args, config: RunConfig, out: _Writer) -> int:
     return 0
 
 
-def _cmd_lemcg(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_lemcg(args, out: _Writer) -> int:
     import numpy as np
     table = gaunt_table(args.d, args.l)
     res = lemcg_check(table)
@@ -239,7 +231,7 @@ def _cmd_lemcg(args, config: RunConfig, out: _Writer) -> int:
     return 0 if passed else 1
 
 
-def _cmd_circulant(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_circulant(args, out: _Writer) -> int:
     ls = _values_from(args.l, args.l_range, "l")
     rows = []
     status = 0
@@ -256,7 +248,7 @@ def _cmd_circulant(args, config: RunConfig, out: _Writer) -> int:
     return status
 
 
-def _cmd_mc_clt(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_mc_clt(args, out: _Writer) -> int:
     ls = _values_from(args.l, args.l_range, "l")
     kept = [l for l in ls if l % 2 == 0]
     for l in ls:
@@ -265,8 +257,7 @@ def _cmd_mc_clt(args, config: RunConfig, out: _Writer) -> int:
                   file=sys.stderr)
     if not kept:
         raise ValueError("no even l values to run")
-    cfg = CltConfig(master_seed=args.seed, method=args.method,
-                    grid_degree=args.grid_degree)
+    cfg = CltConfig(master_seed=args.seed, grid_degree=args.grid_degree)
     columns = ["l", "n_realizations", "mean", "mean_se", "variance",
                "variance_se", "exact_variance", "w1", "ks", "grid_degree"]
     rows = []
@@ -277,9 +268,8 @@ def _cmd_mc_clt(args, config: RunConfig, out: _Writer) -> int:
                      diag.w1, diag.ks, diag.grid_degree])
         if args.dump_realizations is not None:
             scale = math.sqrt(diag.exact_var)
-            dump_cfg = RunConfig(command="mc-clt", d=args.d, l=l,
-                                 seed=args.seed, n_realizations=args.n,
-                                 grid_degree=diag.grid_degree, fmt="csv")
+            dump_cfg = dict(out.config, l=l, l_range=None, output=None,
+                            grid_degree=diag.grid_degree, fmt="csv")
             dump = _Writer(dump_cfg, timestamp=out.stamp is not None)
             dump.table(["realization", "defect", "normalized_defect"],
                        [[i, x, x / scale] for i, x in enumerate(diag.defects)])
@@ -291,7 +281,7 @@ def _cmd_mc_clt(args, config: RunConfig, out: _Writer) -> int:
     return 0
 
 
-def _cmd_moments(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_moments(args, out: _Writer) -> int:
     ks = _values_from(args.k, args.k_range, "k")
     rows = [[k, gegenbauer_moment(args.d, args.l, k, range=args.range)]
             for k in ks]
@@ -299,7 +289,7 @@ def _cmd_moments(args, config: RunConfig, out: _Writer) -> int:
     return 0
 
 
-def _cmd_facile(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_facile(args, out: _Writer) -> int:
     if args.q is not None:
         pairs = [(args.q, args.p if args.p is not None else args.q)]
     else:
@@ -320,7 +310,7 @@ def _cmd_facile(args, config: RunConfig, out: _Writer) -> int:
     return status
 
 
-def _cmd_selftest(args, config: RunConfig, out: _Writer) -> int:
+def _cmd_selftest(args, out: _Writer) -> int:
     from .acceptance import run_all
     wanted = None
     if args.criteria:
@@ -412,9 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-range", help="a:b or a:b:step; odd l are skipped")
     p.add_argument("--n", type=int, default=2000, help="realization count")
     p.add_argument("--seed", type=int, default=20260813)
-    p.add_argument("--method",
-                   choices=("spectral-basis", "covariance-factorization"),
-                   default="spectral-basis")
     p.add_argument("--grid-degree", type=int, default=None,
                    help="override the grid exactness degree")
     p.add_argument("--dump-realizations", default=None, metavar="PATH",
@@ -451,23 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        d=getattr(args, "d", None),
-        l=getattr(args, "l", None),
-        l_range=getattr(args, "l_range", None),
-        q=getattr(args, "q", None),
-        q_range=getattr(args, "q_range", None),
-        tol=getattr(args, "tol", None),
-        seed=getattr(args, "seed", None),
-        n_realizations=getattr(args, "n", None),
-        grid_degree=getattr(args, "grid_degree", None),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", "csv"),
-    )
-    out = _Writer(config, timestamp=not getattr(args, "no_timestamp", False))
+    out = _Writer(_run_config(args), timestamp=not args.no_timestamp)
     try:
-        status = args.fn(args, config, out)
+        status = args.fn(args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -475,7 +448,7 @@ def main(argv=None) -> int:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return 1
     if args.command != "gaunt":
-        _deliver(out.render(), _resolve_output(config.output))
+        _deliver(out.render(), _resolve_output(args.output))
     return status
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import eigenspace_dim, gegenbauer_lambda, sphere_surface
+from .specfun import _gegenbauer_evaluator, eigenspace_dim, sphere_surface
 from .spherequad import QuadratureGrid, build_grid, cubic_integral, gegenbauer_moment
 
 __all__ = [
@@ -97,44 +97,44 @@ def _eval_s2(l: int, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _radial_norm_s3(l: int, big_l: int) -> float:
-    """Normalizer for the S^3 polar factor N (sin chi)^L Ct_{l-L}^{(L+1)}.
+def _polar_s3(l: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """S^3 polar factors N (sin chi)^L G_{l-L;2L+3}(cos chi), rows L = 0..l.
 
-    Ct is the max-normalized Gegenbauer (value 1 at argument 1); the plain
-    Gegenbauer squared norm against (sin chi)^(2L+2) is
+    G_{n;2L+3} is the Gegenbauer C_n^(L+1) scaled to 1 at 1 (lam = (d-1)/2).
+    Its plain squared norm against (sin chi)^(2L+2) is
     h = pi 2^(-1-2L) Gamma(l+L+2) / ((l-L)! (l+1) Gamma(L+1)^2),
-    and the max value is binom(l+L+1, l-L), so N = binom/sqrt(h).
+    and its value at 1 is binom(l+L+1, l-L), so N = binom/sqrt(h).
     """
-    log_h = (math.log(math.pi) - (1 + 2 * big_l) * math.log(2.0)
-             + math.lgamma(l + big_l + 2) - math.lgamma(l - big_l + 1)
-             - math.log(l + 1.0) - 2.0 * math.lgamma(big_l + 1))
-    log_c1 = (math.lgamma(l + big_l + 2) - math.lgamma(l - big_l + 1)
-              - math.lgamma(2 * big_l + 2))
-    return math.exp(log_c1 - 0.5 * log_h)
+    out = np.empty((l + 1, ct.shape[0]))
+    s_pow = np.ones_like(st)
+    for big_l in range(l + 1):
+        log_h = (math.log(math.pi) - (1 + 2 * big_l) * math.log(2.0)
+                 + math.lgamma(l + big_l + 2) - math.lgamma(l - big_l + 1)
+                 - math.log(l + 1.0) - 2.0 * math.lgamma(big_l + 1))
+        log_c1 = (math.lgamma(l + big_l + 2) - math.lgamma(l - big_l + 1)
+                  - math.lgamma(2 * big_l + 2))
+        out[big_l] = (math.exp(log_c1 - 0.5 * log_h) * s_pow
+                      * _gegenbauer_evaluator(2 * big_l + 3, l - big_l).value(ct))
+        s_pow = s_pow * st
+    return out
 
 
 def _eval_s3(l: int, points: np.ndarray) -> np.ndarray:
     """All (l+1)^2 real degree-l harmonics at points on S^3.
 
-    Block L = 0..l: N (sin chi)^L Ct_{l-L}^{(L+1)}(cos chi) times the 2L+1
-    degree-L harmonics of the S^2 direction; rows ordered by L then the S^2
-    flat index.
+    Block L = 0..l: the polar factor of order L times the 2L+1 degree-L
+    harmonics of the S^2 direction; rows ordered by L then the S^2 flat
+    index.
     """
     ct1 = np.clip(points[:, 0], -1.0, 1.0)
     s1 = np.linalg.norm(points[:, 1:], axis=1)
     omega = np.zeros_like(points[:, 1:])
     np.divide(points[:, 1:], s1[:, None], out=omega, where=s1[:, None] > 0)
     omega[s1 == 0] = (1.0, 0.0, 0.0)  # (sin chi)^L kills every L >= 1 block
+    radial = _polar_s3(l, ct1, s1)
     out = np.empty(((l + 1) ** 2, points.shape[0]))
-    row = 0
-    s_pow = np.ones_like(s1)
     for big_l in range(l + 1):
-        radial = (_radial_norm_s3(l, big_l) * s_pow
-                  * gegenbauer_lambda(big_l + 1.0, l - big_l, ct1))
-        block = _eval_s2(big_l, omega)
-        out[row:row + 2 * big_l + 1] = radial[None, :] * block
-        row += 2 * big_l + 1
-        s_pow = s_pow * s1
+        out[big_l ** 2:(big_l + 1) ** 2] = radial[big_l] * _eval_s2(big_l, omega)
     return out
 
 
@@ -200,17 +200,12 @@ class HarmonicBasis:
         else:
             polar = np.zeros((width, l + 1, cos[0].size))
             slot = np.empty(self.size, dtype=np.intp)
-            row = 0
-            s_pow = np.ones_like(sin[0])
+            radial = _polar_s3(l, cos[0], sin[0])
             for big_l in range(l + 1):
                 block = 2 * big_l + 1
-                radial = (_radial_norm_s3(l, big_l) * s_pow
-                          * gegenbauer_lambda(big_l + 1.0, l - big_l, cos[0]))
                 w = _alp_rows(big_l, cos[1], sin[1])
-                polar[:block, big_l] = radial * w[k_of_row[:block]]
-                slot[row:row + block] = big_l * width + np.arange(block)
-                row += block
-                s_pow = s_pow * sin[0]
+                polar[:block, big_l] = radial[big_l] * w[k_of_row[:block]]
+                slot[big_l ** 2:(big_l + 1) ** 2] = big_l * width + np.arange(block)
         # k*j reduced mod n_phi keeps every angle in [0, 2 pi) exactly
         kj = np.outer(np.arange(1, l + 1), np.arange(n_phi)) % n_phi
         angle = (2.0 * math.pi / n_phi) * kj

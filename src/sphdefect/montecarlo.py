@@ -1,15 +1,14 @@
 """Seeded simulation of random spherical harmonics and CLT diagnostics.
 
-T_l(x) = sum_m a_m Y_m(x) with a_m i.i.d. N(0, |S^d|/n) is sampled either
-through an explicit basis (spectral route, exact antipodal parity on
-antipodally symmetric grids) or by factoring the covariance matrix
-K_ij = G_{l;d}(cos dist(x_i, x_j)) (works for any d with no basis).  The
+T_l(x) = sum_m a_m Y_m(x) with a_m i.i.d. N(0, |S^d|/n) is sampled through
+the explicit basis of the harmonics module on a product grid, with exact
+antipodal parity.  Its covariance is E T(x) T(y) = G_{l;d}(x . y).  The
 defect functional sum_i w_i sign(T(x_i)) feeds an N-realization experiment
 whose output is compared against the exact chaos-series variance and the
 standard normal (empirical mean/variance, quantile Wasserstein-1 distance,
 Kolmogorov-Smirnov statistic).
 
-The spectral route never forms the n x N basis matrix.  Product grids are
+The sampler never forms the n x N basis matrix.  Product grids are
 rings of a uniform azimuth rule, so on ring g
 
     T(ring g, phi_j) = sum_m c_m(g) E[m, j],
@@ -42,7 +41,7 @@ from scipy.special import ndtr, ndtri
 
 from .chaos import exact_variance
 from .harmonics import build_basis
-from .specfun import gegenbauer, sphere_surface
+from .specfun import sphere_surface
 from .spherequad import QuadratureGrid, build_grid
 
 __all__ = [
@@ -57,12 +56,6 @@ __all__ = [
     "clt_experiment",
     "wasserstein1_empirical",
 ]
-
-_METHODS = ("spectral-basis", "covariance-factorization")
-_FACTOR_BUDGET = 6000
-# K is PSD but rank n_{l;d} < grid size; escalate until Cholesky succeeds
-_JITTER_STEPS = (0.0, 1e-12, 1e-10, 1e-8)
-
 
 def stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for realization `index` of a master seed.
@@ -104,9 +97,6 @@ class FieldSample:
     l: int
     grid: QuadratureGrid
     values: np.ndarray
-    method: str
-    master_seed: int | None = None
-    index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +117,6 @@ class _Rings:
     slot: np.ndarray
     pair_weights: np.ndarray
     centre: bool
-    grid_size: int
 
 
 def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
@@ -146,8 +135,7 @@ def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
     w = grid.weights[np.arange(primary) * n_phi]
     return _Rings(l=l, sigma=math.sqrt(sphere_surface(d) / basis.size),
                   polar=polar, azimuth=azimuth, slot=slot,
-                  pair_weights=w + (-1.0) ** l * w, centre=total % 2 == 1,
-                  grid_size=grid.size)
+                  pair_weights=w + (-1.0) ** l * w, centre=total % 2 == 1)
 
 
 # Bytes of one output tile of T (realizations x rings x n_phi): the tile
@@ -206,42 +194,6 @@ def _ring_defects(rings: _Rings, a: np.ndarray,
     return (counts * rings.pair_weights).sum(axis=1)
 
 
-def _spectral_values(rings: _Rings, rng: np.random.Generator) -> np.ndarray:
-    """One realization on the whole grid: a batch of 1 through _ring_defects."""
-    a = rng.normal(0.0, rings.sigma, rings.slot.size)
-    values = np.empty(rings.grid_size)
-    _ring_defects(rings, a[None, :], values[None, :])
-    return values
-
-
-def _covariance_values(d: int, l: int, grid: QuadratureGrid,
-                       rng: np.random.Generator,
-                       factor: np.ndarray | None = None) -> np.ndarray:
-    if factor is None:
-        factor = _covariance_factor(d, l, grid)
-    return factor @ rng.standard_normal(factor.shape[1])
-
-
-def _covariance_factor(d: int, l: int, grid: QuadratureGrid) -> np.ndarray:
-    if grid.size > _FACTOR_BUDGET:
-        raise ValueError(
-            f"covariance factorization needs grid size <= {_FACTOR_BUDGET}, "
-            f"got {grid.size}"
-        )
-    cos_dist = np.clip(grid.points @ grid.points.T, -1.0, 1.0)
-    k = gegenbauer(d, l, cos_dist)
-    scale = float(np.trace(k)) / grid.size
-    for jitter in _JITTER_STEPS:
-        try:
-            return np.linalg.cholesky(k + jitter * scale * np.eye(grid.size))
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError(
-        f"covariance factorization failed for d={d}, l={l}, grid size "
-        f"{grid.size} after jitter escalation to {_JITTER_STEPS[-1]} * trace/n"
-    )
-
-
 _BATCH = 64
 
 
@@ -263,25 +215,21 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     return defects
 
 
-def sample_field(d: int, l: int, grid: QuadratureGrid, method: str = "spectral-basis",
+def sample_field(d: int, l: int, grid: QuadratureGrid,
                  rng: np.random.Generator | None = None) -> FieldSample:
     """Draw one realization of the degree-l Gaussian field on the grid.
 
-    spectral-basis: a_m i.i.d. N(0, |S^d|/n) against an explicit basis,
-    evaluated ring by ring on a build_grid product grid as a batch of 1;
-    the mirror rings are written as copies, so T(-x) = (-1)^l T(x) exactly.
-    covariance-factorization: Cholesky of the Gegenbauer covariance with an
-    escalating jitter (the kernel matrix has rank n_{l;d} < grid size).
+    a_m i.i.d. N(0, |S^d|/n) against the explicit basis, evaluated ring by
+    ring on a build_grid product grid as a batch of 1; the mirror rings are
+    written as copies, so T(-x) = (-1)^l T(x) exactly.
     """
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if rng is None:
         rng = stream(0, 0)
-    if method == "spectral-basis":
-        values = _spectral_values(_rings(d, l, grid), rng)
-    else:
-        values = _covariance_values(d, l, grid, rng)
-    return FieldSample(d=d, l=l, grid=grid, values=values, method=method)
+    rings = _rings(d, l, grid)
+    a = rng.normal(0.0, rings.sigma, rings.slot.size)
+    values = np.empty(grid.size)
+    _ring_defects(rings, a[None, :], values[None, :])
+    return FieldSample(d=d, l=l, grid=grid, values=values)
 
 
 def defect_estimate(sample: FieldSample) -> float:
@@ -334,7 +282,6 @@ class CltConfig:
     """Experiment knobs; grid_degree=None means default_degree(l)."""
 
     master_seed: int = 20260813
-    method: str = "spectral-basis"
     grid_degree: int | None = None
     variance_tol: float = 1e-6
 
@@ -359,7 +306,6 @@ class CltDiagnostics:
     w1: float
     ks: float
     seed: int
-    method: str
     grid_degree: int
     defects: np.ndarray = field(repr=False, compare=False, default=None)
 
@@ -369,8 +315,7 @@ class CltDiagnostics:
             "mean": self.mean, "mean_se": self.mean_se,
             "variance": self.variance, "variance_se": self.variance_se,
             "exact_var": self.exact_var, "w1": self.w1, "ks": self.ks,
-            "seed": self.seed, "method": self.method,
-            "grid_degree": self.grid_degree,
+            "seed": self.seed, "grid_degree": self.grid_degree,
         }
 
 
@@ -394,21 +339,8 @@ def clt_experiment(d: int, l: int, n_realizations: int,
             f"grid degree {degree} under-resolves l={l}: the sign functional "
             f"needs exactness >= {nyquist_degree(l)} (4l + 20 nodes per great circle)"
         )
-    grid = build_grid(d, degree)
-    if cfg.method == "spectral-basis":
-        defects = _spectral_defects(d, l, grid, cfg.master_seed, n_realizations)
-    elif cfg.method == "covariance-factorization":
-        factor = _covariance_factor(d, l, grid)
-        defects = np.empty(n_realizations)
-        for i in range(n_realizations):
-            values = _covariance_values(d, l, grid, stream(cfg.master_seed, i),
-                                         factor=factor)
-            defects[i] = defect_estimate(FieldSample(
-                d=d, l=l, grid=grid, values=values, method=cfg.method,
-                master_seed=cfg.master_seed, index=i))
-    else:
-        raise ValueError(f"method must be one of {_METHODS}, got {cfg.method!r}")
-
+    defects = _spectral_defects(d, l, build_grid(d, degree), cfg.master_seed,
+                                n_realizations)
     exact = exact_variance(d, l, tol=cfg.variance_tol).value
     z = defects / math.sqrt(exact)
     n = n_realizations
@@ -423,6 +355,6 @@ def clt_experiment(d: int, l: int, n_realizations: int,
         variance=var, variance_se=var_se, exact_var=exact,
         w1=wasserstein1_empirical(z),
         ks=_ks_normal(z),
-        seed=cfg.master_seed, method=cfg.method, grid_degree=degree,
+        seed=cfg.master_seed, grid_degree=degree,
         defects=defects,
     )

@@ -1,7 +1,7 @@
 """Special functions underpinning the defect computations.
 
 Normalized Gegenbauer (ultraspherical) polynomials G_{l;d} with G_{l;d}(1) = 1,
-probabilists' Hermite polynomials, the scaled Bessel kernel
+the scaled Bessel kernel
 
     Jt_d(psi) = 2^(d/2-1) * Gamma(d/2) * J_{d/2-1}(psi) * psi^(-(d/2-1)),
 
@@ -16,7 +16,9 @@ Polynomials, eq. 4.9.19), with lam = (d-1)/2 and positive coefficients:
 
 On the uniform angles of a Chebyshev rule one DCT of that series gives G at
 the exact rule angles, near the pole its Taylor series gives 1 - G to a few
-eps relative; elsewhere G comes from the three-term recurrence.
+eps relative; elsewhere G comes from the three-term recurrence.  The one
+family serves every parameter lam: C_n^(lam) / C_n^(lam)(1) is G_{n;2 lam+1},
+so the S^3 polar factors C_n^(L+1) are G_{n;2L+3}.
 """
 
 from __future__ import annotations
@@ -29,11 +31,8 @@ from scipy.fft import dct as _dct
 
 __all__ = [
     "GegenbauerEvaluator",
-    "HermiteSequence",
     "ScaledBesselKernel",
     "gegenbauer",
-    "hermite",
-    "hermite_even_at_zero",
     "scaled_bessel",
     "sphere_surface",
     "eigenspace_dim",
@@ -265,111 +264,13 @@ def gegenbauer(d: int, l: int, t):
     return _gegenbauer_evaluator(d, l).value(t)
 
 
-def gegenbauer_lambda(lam: float, n: int, t):
-    """Normalized ultraspherical polynomial C_n^(lam)(t) / C_n^(lam)(1).
-
-    Same recurrence as :class:`GegenbauerEvaluator` with free parameter
-    lam > 0; used by the explicit hyperspherical harmonic construction where
-    lam = L + 1 for the polar factor of an order-L block.
-    """
-    if lam <= 0:
-        raise ValueError(f"need lam > 0, got {lam}")
-    t_arr = np.asarray(t, dtype=float)
-    if n == 0:
-        out = np.ones_like(t_arr)
-    else:
-        prev = np.ones_like(t_arr)
-        cur = t_arr.copy()
-        for m in range(1, n):
-            prev, cur = cur, (2.0 * (m + lam) * t_arr * cur - m * prev) / (m + 2.0 * lam)
-        out = cur
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
-class HermiteSequence:
-    """Probabilists' Hermite polynomials H_0 .. H_K.
-
-    H_0 = 1, H_1 = t, H_{k+1} = t H_k - k H_{k-1}.  K is capped at 200;
-    beyond that the values H_k(0) = (k-1)!! (k even) overflow double
-    precision and callers should switch to :func:`hermite_even_at_zero`
-    with ``log=True``.
-    """
-
-    MAX_ORDER = 200
-
-    def __init__(self, max_order: int):
-        if not 0 <= max_order <= self.MAX_ORDER:
-            raise ValueError(
-                f"max_order must be in [0, {self.MAX_ORDER}], got {max_order}"
-            )
-        self.max_order = int(max_order)
-
-    def values(self, t) -> np.ndarray:
-        """Array [H_0(t), ..., H_K(t)]; last axis enumerates the order."""
-        t_arr = np.asarray(t, dtype=float)
-        out = np.empty(t_arr.shape + (self.max_order + 1,))
-        out[..., 0] = 1.0
-        if self.max_order >= 1:
-            out[..., 1] = t_arr
-        for k in range(1, self.max_order):
-            out[..., k + 1] = t_arr * out[..., k] - k * out[..., k - 1]
-        return out
-
-
-def hermite(k: int, t):
-    """Probabilists' Hermite polynomial H_k(t) by the three-term recurrence."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if k > HermiteSequence.MAX_ORDER:
-        raise ValueError(
-            f"order {k} > {HermiteSequence.MAX_ORDER} rejected: coefficients "
-            "overflow double precision"
-        )
-    t_arr = np.asarray(t, dtype=float)
-    vals = HermiteSequence(k).values(t_arr)[..., k]
-    if np.ndim(t) == 0:
-        return float(vals)
-    return vals
-
-
-def hermite_even_at_zero(q: int, log: bool = False):
-    """H_{2q}(0) = (-1)^q (2q-1)!!.
-
-    With ``log=True`` returns (sign, log|H_{2q}(0)|), usable for any q
-    (log-scaled double factorial via lgamma); the linear-scale value is
-    limited to q <= 100 where (2q-1)!! still fits in a double.
-    """
-    if q < 0:
-        raise ValueError(f"need q >= 0, got {q}")
-    sign = -1.0 if q % 2 else 1.0
-    if q == 0:
-        return (sign, 0.0) if log else 1.0
-    # (2q-1)!! = (2q)! / (2^q q!)
-    log_df = math.lgamma(2 * q + 1) - q * math.log(2.0) - math.lgamma(q + 1)
-    if log:
-        return sign, log_df
-    if q > 100:
-        raise ValueError("linear-scale H_{2q}(0) overflows for q > 100; use log=True")
-    return sign * math.exp(log_df)
-
-
-# Measured sup of |Jt_d(psi)| * psi^((d-1)/2) over psi >= 1, with ~2% headroom;
-# d = 3 is exactly 1 (|sin|).  For d >= 4 the first lobe overshoots the
-# sqrt(2/pi) 2^nu Gamma(nu+1) oscillation amplitude, so the sup sits at small
-# psi, not in the tail.  Verified on a dense grid by the test suite.
-_DECAY_C = {2: 0.82, 3: 1.0, 4: 1.69, 5: 3.26, 6: 7.15}
-
-
 class ScaledBesselKernel:
     """Scaled Bessel kernel Jt_d(psi) = 2^nu Gamma(nu+1) J_nu(psi) psi^(-nu).
 
     nu = d/2 - 1.  Jt_d(0) = 1 (removable singularity, handled by an even
     power series for psi < 0.5 to relative 1e-14); |Jt_d| <= 1 on [0, inf).
     Half-integer orders (odd d) use closed trigonometric forms, integer
-    orders standard J_n evaluation.  ``decay_constant`` records c with
-    |Jt_d(psi)| <= c psi^(-(d-1)/2) for psi >= 1.
+    orders standard J_n evaluation.
     """
 
     SERIES_CUT = 0.5
@@ -379,11 +280,6 @@ class ScaledBesselKernel:
             raise ValueError(f"need d >= 2, got {d}")
         self.d = int(d)
         self.nu = d / 2.0 - 1.0
-        self.decay_constant = _DECAY_C.get(d)
-        if self.decay_constant is None:
-            # conservative fallback for d outside the measured table
-            self.decay_constant = math.sqrt(2.0 / math.pi) * 2.0 ** self.nu \
-                * math.gamma(self.nu + 1.0) * 4.0
 
     def __call__(self, psi):
         psi_arr = np.asarray(psi, dtype=float)

@@ -65,6 +65,11 @@ class IntervalRule:
         return float(np.dot(self.weights, values))
 
 
+def _symmetric(x: np.ndarray, w: np.ndarray):
+    """Nodes and weights made exactly +-symmetric (parity arguments use it)."""
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+
+
 def _golub_welsch(n: int, b: np.ndarray, p, c: float, mass: float):
     """Symmetric Gauss rule from the off-diagonal b of its Jacobi matrix.
 
@@ -85,9 +90,7 @@ def _golub_welsch(n: int, b: np.ndarray, p, c: float, mass: float):
     log_pm, log_dp = np.log(np.abs(pm)), np.log(np.abs(dp))
     pm /= np.exp((log_pm.max() + log_pm.min()) / 2.)
     dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)
-    w = 1.0 / (pm * dp)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
+    x, w = _symmetric(x, 1.0 / (pm * dp))
     w *= mass / w.sum()
     return x, w
 
@@ -136,10 +139,7 @@ def fejer_rule(n: int) -> IntervalRule:
     x[2 * m] = -1.0 / (4.0 * m * m - 1.0)
     w = (2.0 / n) * _dct(x, type=3)
     nodes = np.cos((2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n))[::-1]
-    weights = w[::-1]
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return IntervalRule(nodes, weights, n - 1)
+    return IntervalRule(*_symmetric(nodes, w[::-1]), n - 1)
 
 
 def chebyshev_sqrt_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +152,8 @@ def chebyshev_sqrt_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need n >= 1, got {n}")
     j = np.arange(1, n + 1)
     theta = j * math.pi / (n + 1)
-    nodes = np.cos(theta)[::-1]
     weights = (math.pi / (n + 1)) * np.sin(theta) ** 2
-    weights = weights[::-1]
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return nodes, weights
+    return _symmetric(np.cos(theta)[::-1], weights[::-1])
 
 
 def _weight_rule(d: int, poly_degree: int) -> tuple[np.ndarray, np.ndarray]:

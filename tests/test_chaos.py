@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdefect.chaos import (ChaosCoefficients, c3_closed, c_coefficient,
-                             chaos_weight, chaos_weights_upto,
-                             constant_estimate, defect_constant_lower_bound,
-                             exact_variance, facile_check, indicator_l2_sum,
-                             variance_closed_form, weight_tail_bound,
-                             weight_tail_estimate)
+from sphdefect.chaos import (c3_closed, c_coefficient, chaos_weight,
+                             chaos_weights_upto, constant_estimate,
+                             defect_constant_lower_bound, exact_variance,
+                             facile_check, indicator_l2_sum,
+                             variance_closed_form, weight_tail_estimate)
 from sphdefect.specfun import sphere_surface
 
 
@@ -40,16 +39,6 @@ class TestWeights:
         assert total + weight_tail_estimate(100_000) == pytest.approx(
             expected, abs=1e-12)
 
-    def test_tail_bound_sound_and_tight(self):
-        # rigorous: w_q < pi^(-3/2) q^(-3/2); check the Hurwitz-zeta bound
-        # dominates the true remainder but not by more than ~3x
-        w = chaos_weights_upto(40_000)
-        for q_from in (10, 100, 1000):
-            true_tail = float(np.sum(w[q_from:])) + weight_tail_estimate(40_000)
-            bound = weight_tail_bound(q_from)
-            assert bound >= true_tail
-            assert bound <= 3.0 * true_tail
-
     def test_tail_estimate_accuracy(self):
         # the asymptotic completion should beat the rigorous bound by far
         w = chaos_weights_upto(200_000)
@@ -67,16 +56,6 @@ class TestWeights:
         w = chaos_weights_upto(q + 1)
         assert w[q - 1] > 0.0
         assert w[q] < w[q - 1]
-
-    def test_coefficient_bundle_consistency(self):
-        cc = ChaosCoefficients.build(200)
-        w = chaos_weights_upto(200)
-        assert np.allclose(cc.weights, w, rtol=1e-14)
-        # j_log stores (log w_q + log (2q+1)!) / 2
-        q = np.arange(1, 201)
-        ref = 0.5 * (np.log(w) + [math.lgamma(2 * k + 2) for k in q])
-        assert np.allclose(cc.j_log, ref, rtol=1e-12)
-        assert np.array_equal(cc.j_sign, (-1.0) ** q)
 
 
 class TestExactVariance:

@@ -18,9 +18,12 @@ def run(argv, capsys):
 
 class TestPlumbing:
     def test_usage_error_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["no-such-command"])
-        assert exc.value.code == 2
+        # an unknown command, and a flag the CLI no longer has
+        for argv in (["no-such-command"],
+                     ["mc-clt", "--d", "2", "--l", "4", "--method", "spectral-basis"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
 
     def test_missing_required_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -56,6 +59,41 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "holds_diag" in proc.stdout
+
+
+def _header(out):
+    """The run's config object, from a CSV header line or a JSON document."""
+    if out.startswith("{"):
+        return json.loads(out)["config"]
+    line = next(x for x in out.splitlines() if x.startswith("# config: "))
+    return json.loads(line.split("# config: ", 1)[1])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["variance", "--d", "2", "--l", "4"], ["--q-max", "64"]),
+    (["constant", "--d", "2", "--method", "series", "--q-terms", "20",
+      "--n-lobes", "10"], ["--n-lobes", "12"]),
+    (["ccoef", "--d", "2", "--q", "1"], ["--method", "closed"]),
+    (["lemcg", "--d", "2", "--l", "2"], ["--l", "4"]),
+    (["circulant", "--d", "2", "--l", "2"], ["--d", "3"]),
+    (["mc-clt", "--d", "2", "--l", "4", "--n", "20"],
+     ["--dump-realizations", "dump.csv"]),
+    (["moments", "--d", "2", "--l", "4", "--k", "3"], ["--k", "5"]),
+    (["moments", "--d", "2", "--l", "4", "--k", "3"], ["--range", "full"]),
+    (["moments", "--d", "2", "--l", "4", "--k-range", "2:3"], ["--k-range", "2:4"]),
+    (["facile", "--q", "1"], ["--p", "2"]),
+    (["selftest", "--criteria", "9"], ["--criteria", "1"]),
+])
+def test_header_records_every_flag(argv, flag, capsys, tmp_path, monkeypatch):
+    # two runs that differ in one flag must not print the same config (a
+    # repeated flag overrides the earlier value)
+    monkeypatch.setenv("SPHDEFECT_OUTPUT_DIR", str(tmp_path))
+    code_a, out_a, _ = run(argv + ["--no-timestamp"], capsys)
+    code_b, out_b, _ = run(argv + flag + ["--no-timestamp"], capsys)
+    assert (code_a, code_b) == (0, 0)
+    a, b = _header(out_a), _header(out_b)
+    assert a != b
+    assert set(cli._SHARED_KEYS) <= set(a) and set(cli._SHARED_KEYS) <= set(b)
 
 
 class TestVariance:

@@ -17,7 +17,7 @@ def _random_unit(rng, n, dim):
 
 class TestBasis:
     @pytest.mark.parametrize("d,l", [(2, 1), (2, 3), (2, 8), (2, 21),
-                                     (3, 1), (3, 2), (3, 5), (3, 9)])
+                                     (3, 1), (3, 2), (3, 5), (3, 9), (3, 12)])
     def test_orthonormal_on_grid(self, d, l):
         basis = build_basis(d, l)
         assert basis.size == eigenspace_dim(d, l)
@@ -26,7 +26,7 @@ class TestBasis:
         gram = (b * grid.weights) @ b.T
         assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
 
-    @pytest.mark.parametrize("d,l", [(2, 2), (2, 7), (3, 3), (3, 6)])
+    @pytest.mark.parametrize("d,l", [(2, 2), (2, 7), (3, 3), (3, 6), (3, 12)])
     def test_addition_formula(self, d, l):
         basis = build_basis(d, l)
         rng = np.random.default_rng(99)

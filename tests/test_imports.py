@@ -1,16 +1,26 @@
-"""Cold-start guard: the package imports and its common paths run without
-loading scipy.stats, scipy.optimize or scipy.linalg.
+"""Import guards.
 
-Those three cost about 0.6 s of import time together, so every fresh
-``sphdefect`` process would pay them before doing any work.
+Cold start: the package imports and its common paths run without loading
+scipy.stats, scipy.optimize or scipy.linalg.  Those three cost about 0.6 s
+of import time together, so every fresh ``sphdefect`` process would pay
+them before doing any work.
+
+Stale exports: every name a module lists in ``__all__`` exists on it, so a
+deletion that misses its export fails here.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
+_MODULES = ["sphdefect"] + [f"sphdefect.{m.name}" for m in
+                            pkgutil.iter_modules([os.path.join(_SRC, "sphdefect")])]
 
 _PROBE = """
 import sys
@@ -31,3 +41,9 @@ def test_heavy_scipy_modules_stay_unloaded():
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_all_exports_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import special as sp
 
-from sphdefect.specfun import (GegenbauerEvaluator, HermiteSequence,
-                               ScaledBesselKernel, eigenspace_dim, gegenbauer,
-                               hermite, hermite_even_at_zero, scaled_bessel,
+from sphdefect.specfun import (GegenbauerEvaluator, ScaledBesselKernel,
+                               eigenspace_dim, gegenbauer, scaled_bessel,
                                sphere_surface)
-from sphdefect.specfun import _BLOCK, gegenbauer_lambda, powers_dot
+from sphdefect.specfun import _BLOCK, powers_dot
 
 
 def test_sphere_surface_known_values():
@@ -60,8 +59,9 @@ class TestGegenbauer:
             assert np.max(np.abs(gegenbauer(3, l, np.cos(x)) - ref)) < 1e-13
 
     def test_matches_scipy_normalization(self):
+        # d = 7 and 27 are lam = 3 and 13, polar factors of S^3 harmonics
         t = np.linspace(-1.0, 1.0, 51)
-        for d in (4, 5, 8):
+        for d in (4, 5, 8, 7, 27):
             lam = (d - 1) / 2.0
             for l in (2, 3, 9):
                 ref = sp.eval_gegenbauer(l, lam, t) / sp.eval_gegenbauer(l, lam, 1.0)
@@ -154,13 +154,6 @@ class TestGegenbauer:
         assert np.array_equal(ev._recurrence(t), ref)
         assert np.array_equal(gegenbauer(d, l, t), ref)
 
-    def test_lambda_parameter_family(self):
-        t = np.linspace(-1.0, 1.0, 41)
-        for lam in (0.5, 1.0, 2.5, 4.0):
-            for n in (0, 1, 4, 9):
-                ref = sp.eval_gegenbauer(n, lam, t) / sp.eval_gegenbauer(n, lam, 1.0)
-                assert np.max(np.abs(gegenbauer_lambda(lam, n, t) - ref)) < 1e-12
-
 
 class TestCosineSeries:
     """G on Chebyshev points from one DCT of its cosine series."""
@@ -223,41 +216,6 @@ class TestCosineSeries:
             ev.chebyshev_values(11, 3)
 
 
-class TestHermite:
-    def test_matches_scipy_hermitenorm(self):
-        t = np.linspace(-3.0, 3.0, 31)
-        for k in (0, 1, 2, 5, 11):
-            ref = sp.eval_hermitenorm(k, t)
-            assert np.max(np.abs(hermite(k, t) - ref)) < 1e-9 * np.max(np.abs(ref) + 1)
-
-    def test_sequence_consistency(self):
-        vals = HermiteSequence(12).values(0.7)
-        for k in range(13):
-            assert vals[k] == pytest.approx(hermite(k, 0.7), rel=1e-14, abs=1e-14)
-
-    def test_even_at_zero_double_factorial(self):
-        assert hermite_even_at_zero(0) == 1.0
-        for q in range(1, 20):
-            df = 1.0
-            for j in range(1, 2 * q, 2):
-                df *= j
-            assert hermite_even_at_zero(q) == pytest.approx((-1) ** q * df, rel=1e-13)
-            assert hermite(2 * q, 0.0) == pytest.approx((-1) ** q * df, rel=1e-10)
-
-    def test_even_at_zero_log_branch(self):
-        sign, log_abs = hermite_even_at_zero(150, log=True)
-        assert sign == 1.0
-        # compare against lgamma-form double factorial
-        ref = math.lgamma(301) - 150 * math.log(2.0) - math.lgamma(151)
-        assert log_abs == pytest.approx(ref, rel=1e-14)
-        with pytest.raises(ValueError):
-            hermite_even_at_zero(101)
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            hermite(201, 0.0)
-
-
 class TestScaledBessel:
     def test_golden_values(self, golden):
         ref = golden("bessel_scaled")
@@ -284,13 +242,6 @@ class TestScaledBessel:
                 direct = (2.0 ** k.nu * math.gamma(k.nu + 1.0)
                           * sp.jv(k.nu, psi) / psi ** k.nu)
                 assert series == pytest.approx(direct, rel=1e-13)
-
-    def test_decay_envelope(self):
-        psi = np.linspace(1.0, 400.0, 20000)
-        for d in (2, 3, 4, 5, 6):
-            k = ScaledBesselKernel(d)
-            envelope = k.decay_constant * psi ** (-(d - 1) / 2.0)
-            assert np.all(np.abs(k(psi)) <= envelope * (1.0 + 1e-12))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
