@@ -12,6 +12,8 @@ Output conventions:
   the config as one JSON object), then a column-name line, then rows.
   Floats are printed with 17 significant digits so values round-trip.
 * JSON: an object with "config", optional "timestamp", and the payload.
+  `constant` and `lemcg` return one object rather than a table, so they
+  offer JSON only; `--format csv` there is a usage error.
 * Same configuration, same package version: byte-identical output once
   the timestamp is suppressed with --no-timestamp.
 * A relative --output path is resolved under $SPHDEFECT_OUTPUT_DIR when
@@ -340,12 +342,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"sphdefect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="csv"):
+    def common(p, formats=("csv", "json")):
+        # the first format is the default; a payload (one JSON object, no
+        # table) has no CSV form, so those commands offer json only
         p.add_argument("--output", "-o", default=None,
                        help="output file (default stdout); relative paths "
                             f"resolve under ${_ENV_OUTPUT_DIR} when set")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=fmt_default)
+        p.add_argument("--format", dest="fmt", choices=formats,
+                       default=formats[0])
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp header line so reruns are "
                             "byte-identical")
@@ -365,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--q-terms", type=int, default=400)
     p.add_argument("--n-lobes", type=int, default=72)
-    common(p, fmt_default="json")
+    common(p, formats=("json",))
     p.set_defaults(fn=_cmd_constant)
 
     p = sub.add_parser("ccoef", help="chaos coefficients c_{2q+1;d}")
@@ -386,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemcg", help="Gaunt double-sum identity residuals")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    common(p, fmt_default="json")
+    common(p, formats=("json",))
     p.set_defaults(fn=_cmd_lemcg)
 
     p = sub.add_parser("circulant", help="circulant diagram sum vs closed form")
@@ -406,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the grid exactness degree")
     p.add_argument("--dump-realizations", default=None, metavar="PATH",
                    help="also write per-realization defects as CSV")
-    common(p, fmt_default="json")
+    common(p, formats=("json", "csv"))
     p.set_defaults(fn=_cmd_mc_clt)
 
     p = sub.add_parser("moments", help="Gegenbauer power moments")

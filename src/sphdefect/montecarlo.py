@@ -25,15 +25,27 @@ FFT-friendly (802 = 2 * 401 at l = 40), and a batched scipy.fft.irfft of
 the 402,000 ring rows of 2000 realizations took 7.5-10.8 s there, where
 the dgemm took 0.75 s (2-core Xeon, OpenBLAS).
 
+The realization batches run on worker threads, one per core of the
+process's affinity mask.  While they run, the OpenBLAS that numpy calls
+is held at one thread (its global count, restored afterwards), so each
+core does its own dgemm and its own sign count on a tile in its own L2.
+Two workers over a 2-thread BLAS were slower than the plain loop; when no
+OpenBLAS handle is found, or one core is available, the same batch
+function runs in that loop.
+
 Every realization draws from its own counter-derived stream, and its
 defect is a fixed-order sum over its own ring counts, so results are
-bit-identical for a given master seed no matter how the loop is chunked
-or parallelized.
+bit-identical for a given master seed no matter how the loop is chunked,
+how many workers share it, or in which order they finish.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,9 +152,11 @@ def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
 
 # Bytes of one output tile of T (realizations x rings x n_phi): the tile
 # and its sign arrays stay in L2 (2 MB per core on the reference box) while
-# they are reduced to ring counts.  Below ~1 MB the dgemm is short enough
-# that its threading overhead shows: at l = 40 it took about twice as long
-# on 512 KB tiles as on 1-2 MB tiles.
+# they are reduced to ring counts.  Swept with one worker per core over a
+# 1-thread BLAS (2-core Xeon), 256 KB / 512 KB / 1 MB / 2 MB tiles took
+# 1.17 / 1.05 / 0.88 / 0.86 s at l = 40 on S^2 and 0.77 / 0.52 / 0.44 /
+# 0.62 s at l = 4 on S^3: smaller tiles pay per-call overhead, larger ones
+# leave L2.
 _TILE = 1 << 20
 
 
@@ -196,6 +210,70 @@ def _ring_defects(rings: _Rings, a: np.ndarray,
 
 _BATCH = 64
 
+# thread-count entry points of the OpenBLAS builds numpy ships or links
+_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+_BLAS_LOCK = threading.Lock()
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    Looks only at libraries already loaded: numpy's bundled OpenBLAS, then
+    every OpenBLAS in the process's memory map.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "*openblas*.so*")))
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        paths += sorted({line.split()[-1] for line in fh if "openblas" in line})
+    mode = getattr(os, "RTLD_NOLOAD", 0) | getattr(os, "RTLD_LAZY", 0)
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=mode)
+        except OSError:
+            continue
+        for get, put in _BLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread; yields False when there is no handle.
+
+    The count set is the global one (the thread-local setter of this
+    OpenBLAS also changed it), so it is saved and restored under a lock.
+    """
+    handle = _openblas()
+    if handle is None:
+        yield False
+        return
+    get, put = handle
+    with _BLAS_LOCK:
+        saved = get()
+        put(1)
+        try:
+            yield True
+        finally:
+            put(saved)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
 
 def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
                       n_realizations: int, start: int = 0) -> np.ndarray:
@@ -204,15 +282,37 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     Each realization's coefficient vector comes from its own stream, and
     its defect does not depend on the batch it is evaluated in, so any
     split of an index range gives the same values as the whole range.
+    Batches run on one worker thread per core over a 1-thread BLAS, each
+    writing only its own slice of the result.
     """
     rings = _rings(d, l, grid)
     defects = np.empty(n_realizations)
-    for lo in range(0, n_realizations, _BATCH):
+
+    def batch(lo: int) -> None:
         hi = min(lo + _BATCH, n_realizations)
         a = np.stack([stream(master_seed, start + i).normal(0.0, rings.sigma, rings.slot.size)
                       for i in range(lo, hi)])
         defects[lo:hi] = _ring_defects(rings, a)
+
+    starts = range(0, n_realizations, _BATCH)
+    workers = min(_cores(), len(starts))
+    with _one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as limited:
+        if limited:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(workers)
+            try:
+                list(pool.map(batch, starts))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            for lo in starts:
+                batch(lo)
     return defects
+
+
+# sample_field's ring tables for the last (d, l, grid) it was called with
+_last_rings: tuple | None = None
 
 
 def sample_field(d: int, l: int, grid: QuadratureGrid,
@@ -221,11 +321,19 @@ def sample_field(d: int, l: int, grid: QuadratureGrid,
 
     a_m i.i.d. N(0, |S^d|/n) against the explicit basis, evaluated ring by
     ring on a build_grid product grid as a batch of 1; the mirror rings are
-    written as copies, so T(-x) = (-1)^l T(x) exactly.
+    written as copies, so T(-x) = (-1)^l T(x) exactly.  The ring tables of
+    the last (d, l, grid) are kept, so repeated draws on one grid build
+    them once.
     """
+    global _last_rings
     if rng is None:
         rng = stream(0, 0)
-    rings = _rings(d, l, grid)
+    key = (d, l, id(grid))
+    cached = _last_rings
+    if cached is None or cached[0] != key:
+        # the entry holds the grid, so its id cannot be reused while cached
+        cached = _last_rings = (key, grid, _rings(d, l, grid))
+    rings = cached[2]
     a = rng.normal(0.0, rings.sigma, rings.slot.size)
     values = np.empty(grid.size)
     _ring_defects(rings, a[None, :], values[None, :])

@@ -25,6 +25,18 @@ class TestPlumbing:
                 cli.main(argv)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["constant", "--d", "2"],
+                                      ["lemcg", "--d", "2", "--l", "2"]])
+    def test_payload_commands_refuse_csv(self, argv, capsys):
+        # one JSON object has no CSV form: a usage error, not a traceback
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        code, out, _ = run(argv + ["--format", "json", "--no-timestamp"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["fmt"] == "json"
+
     def test_missing_required_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["variance"])  # --d is required

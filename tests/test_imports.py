@@ -3,12 +3,14 @@
 Cold start: the package imports and its common paths run without loading
 scipy.stats, scipy.optimize or scipy.linalg.  Those three cost about 0.6 s
 of import time together, so every fresh ``sphdefect`` process would pay
-them before doing any work.
+them before doing any work.  The sampler's thread pool and OpenBLAS handle
+are likewise set up on its first call, not at import.
 
 Stale exports: every name a module lists in ``__all__`` exists on it, so a
 deletion that misses its export fails here.
 """
 
+import functools
 import importlib
 import os
 import pkgutil
@@ -26,7 +28,8 @@ _PROBE = """
 import sys
 import sphdefect
 import sphdefect.cli
-from sphdefect import build_grid, clt_experiment, constant_estimate
+from sphdefect import build_grid, clt_experiment, constant_estimate, montecarlo
+print("concurrent.futures" in sys.modules, montecarlo._openblas.cache_info().currsize)
 clt_experiment(3, 4, 20)
 constant_estimate(5, "integral", n_lobes=10)
 build_grid(4, 20)
@@ -34,13 +37,35 @@ print(",".join(m for m in ("scipy.stats", "scipy.optimize", "scipy.linalg")
                if m in sys.modules))
 """
 
+# what the package's own third-party imports load on their own
+_DEPENDENCY_PROBE = """
+import sys
+import numpy, scipy.fft, scipy.special
+print("concurrent.futures" in sys.modules)
+"""
 
-def test_heavy_scipy_modules_stay_unloaded():
+
+@functools.cache
+def _probe(code: str) -> tuple:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    return tuple(out.splitlines())
+
+
+def test_heavy_scipy_modules_stay_unloaded():
+    assert _probe(_PROBE)[1].strip() == ""
+
+
+def test_sampler_threads_load_lazily():
+    # the worker pool and the OpenBLAS handle are set up on the first
+    # sampler call, not at import; concurrent.futures is loaded by import
+    # only where numpy and scipy already load it themselves
+    futures_loaded, handles = _probe(_PROBE)[0].split()
+    assert handles == "0"
+    if futures_loaded == "True":
+        assert _probe(_DEPENDENCY_PROBE) == ("True",)
 
 
 @pytest.mark.parametrize("name", _MODULES)

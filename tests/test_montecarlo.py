@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -171,15 +173,18 @@ class TestRingSampler:
            n=st.integers(1, 150),
            cuts=st.lists(st.integers(0, 150), max_size=4),
            tile=st.sampled_from([1 << 9, 1 << 12, 1 << 20]),
+           workers=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_chunk_invariant_defects(self, case, n, cuts, tile, seed):
+    def test_chunk_invariant_defects(self, case, n, cuts, tile, workers, seed):
         # defects of [0, n) = the concatenated defects of any split of it,
-        # at any tile size, and = the one-sample route stream for stream
+        # at any tile size and worker count, and = the one-sample route
+        # stream for stream
         d, l, degree = case
         grid = build_grid(d, degree)
         whole = _spectral_defects(d, l, grid, seed, n)
         bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
-        with mock.patch.object(montecarlo, "_TILE", tile):
+        with mock.patch.object(montecarlo, "_TILE", tile), \
+                mock.patch.object(montecarlo, "_cores", lambda: workers):
             chunked = np.concatenate([_spectral_defects(d, l, grid, seed, hi - lo, start=lo)
                                       for lo, hi in zip(bounds, bounds[1:])])
         assert np.array_equal(whole, chunked)
@@ -189,12 +194,106 @@ class TestRingSampler:
         if l % 2:
             assert np.all(whole == 0.0) and np.all(single == 0.0)
 
+    def test_ring_tables_cached_per_grid(self, monkeypatch):
+        # sample_field builds the ring tables once per (d, l, grid), and
+        # cached tables give the same values as fresh ones
+        built = []
+        fresh_rings = montecarlo._rings
+        monkeypatch.setattr(montecarlo, "_rings",
+                            lambda *args: built.append(args) or fresh_rings(*args))
+        monkeypatch.setattr(montecarlo, "_last_rings", None)
+        grid, other = build_grid(2, 39), build_grid(2, 39)
+        cached = [sample_field(2, 9, grid, rng=stream(SEED, i)).values for i in range(4)]
+        assert len(built) == 1
+        sample_field(2, 9, other, rng=stream(SEED, 0))
+        sample_field(2, 8, other, rng=stream(SEED, 0))
+        assert len(built) == 3
+        fresh = []
+        for i in range(4):
+            monkeypatch.setattr(montecarlo, "_last_rings", None)
+            fresh.append(sample_field(2, 9, grid, rng=stream(SEED, i)).values)
+        assert len(built) == 7
+        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+
     def test_needs_product_grid(self):
         grid = build_grid(2, 12)
         bare = QuadratureGrid(d=2, points=grid.points, weights=grid.weights,
                               exactness_degree=12, antipodal_symmetric=False)
         with pytest.raises(ValueError, match="product grid"):
             sample_field(2, 4, bare, rng=stream(SEED, 0))
+
+
+class TestWorkers:
+    # realization batches on worker threads over a 1-thread OpenBLAS
+
+    @pytest.mark.parametrize("d,l,degree", [(2, 6, 60), (3, 4, 18)])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_equals_serial(self, d, l, degree, workers):
+        # 5 batches (n = 300) divide among neither 2 nor 3 workers; a short
+        # switch interval makes the workers interleave as often as it can
+        grid = build_grid(d, degree)
+        with mock.patch.object(montecarlo, "_cores", lambda: 1):
+            serial = _spectral_defects(d, l, grid, SEED, 300, start=37)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(montecarlo, "_cores", lambda: workers):
+                parallel = _spectral_defects(d, l, grid, SEED, 300, start=37)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(parallel, serial)
+
+    def test_no_blas_handle_falls_back_to_the_loop(self):
+        grid = build_grid(2, 60)
+        with mock.patch.object(montecarlo, "_cores", lambda: 2):
+            threaded = _spectral_defects(2, 6, grid, SEED, 200)
+            with mock.patch.object(montecarlo, "_openblas", lambda: None):
+                fallback = _spectral_defects(2, 6, grid, SEED, 200)
+        assert np.array_equal(fallback, threaded)
+
+    @pytest.fixture
+    def blas(self):
+        handle = montecarlo._openblas()
+        if handle is None:
+            pytest.skip("no OpenBLAS thread-count handle in this numpy")
+        get, put = handle
+        saved = get()
+        put(2)  # a count other than the 1 the workers run at
+        yield get
+        put(saved)
+
+    def test_blas_threads_restored(self, blas):
+        seen = []
+        kernel = montecarlo._ring_defects
+
+        def spy(*args):
+            seen.append(blas())
+            return kernel(*args)
+
+        grid = build_grid(2, 60)
+        with mock.patch.object(montecarlo, "_cores", lambda: 2), \
+                mock.patch.object(montecarlo, "_ring_defects", spy):
+            _spectral_defects(2, 6, grid, SEED, 200)
+        assert seen == [1] * 4
+        assert blas() == 2
+        clt_experiment(2, 6, 200, CltConfig(master_seed=SEED))
+        assert blas() == 2
+
+    def test_blas_threads_restored_after_worker_raises(self, blas):
+        kernel = montecarlo._ring_defects
+        calls = itertools.count()
+
+        def failing(*args):
+            if next(calls) == 1:  # next() on a count is atomic across threads
+                raise RuntimeError("worker failed")
+            return kernel(*args)
+
+        grid = build_grid(2, 60)
+        with mock.patch.object(montecarlo, "_cores", lambda: 2), \
+                mock.patch.object(montecarlo, "_ring_defects", failing), \
+                pytest.raises(RuntimeError, match="worker failed"):
+            _spectral_defects(2, 6, grid, SEED, 400)
+        assert blas() == 2
 
 
 class TestWasserstein:
