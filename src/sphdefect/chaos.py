@@ -28,12 +28,15 @@ by that series and, independently, by the conditionally convergent integral
 
 both handled by lobe partition at the Bessel zeros plus repeated averaging
 of the alternating partial sums (plain upper-limit truncation diverges too
-slowly to be usable).  Exact integer combinatorial inequalities used by the
-fourth-moment analysis are checked in facile_check.
+slowly to be usable).  The Bessel zeros, and the last lobe rule with its
+Jt_d values, are kept per process (read-only).  Exact integer
+combinatorial inequalities used by the fourth-moment analysis are checked
+in facile_check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -163,14 +166,19 @@ def _remainder(g, q: int) -> np.ndarray:
 def _sin_power_integral(n: int, x: np.ndarray) -> np.ndarray:
     """int_0^x (sin t)^n dt, 0 <= x <= pi/2, to 2e-14 relative (n <= 7): up
     to pi/4 int_0^(sin x) u^n (1-u^2)^(-1/2) du, beyond the whole less
-    int_0^(cos x) (1-u^2)^((n-1)/2) du, each by 56 terms of its binomial
-    series in u^2 <= 1/2 (< 2e-17 left; positive, resp. first-term led).
+    int_0^(cos x) (1-u^2)^((n-1)/2) du, each by its binomial series in u^2
+    <= 1/2 (positive, resp. first-term led).  From the u^6 term on, every
+    coefficient is below 1/2 in modulus and 1 - u^2 >= 1/2, so K >= 3 terms
+    with max(u^2)^K <= 2e-17 leave less than that: 56 terms at u^2 = 1/2, 4
+    on the polar cap x <= 1.25/l at l = 400.
     """
-    k, odd = np.arange(1.0, 56.0), np.arange(1.0, 112.0, 2.0)
-    up = np.cumprod(np.r_[1.0, (k - 0.5) / k]) / (odd + n)
-    down = np.cumprod(np.r_[1.0, (k - 1.0 - (n - 1) / 2.0) / k]) / odd
     near = x <= math.pi / 4
     s, c = np.sin(x[near]), np.cos(x[~near])
+    top = max(float(np.max(s * s, initial=0.0)), float(np.max(c * c, initial=0.0)))
+    terms = max(3, math.ceil(math.log(2e-17) / math.log(top))) if top > 0.0 else 3
+    k, odd = np.arange(1.0, terms), np.arange(1.0, 2.0 * terms, 2.0)
+    up = np.cumprod(np.r_[1.0, (k - 0.5) / k]) / (odd + n)
+    down = np.cumprod(np.r_[1.0, (k - 1.0 - (n - 1) / 2.0) / k]) / odd
     out = np.empty_like(x)
     out[near] = s ** (n + 1) * _horner(up, s * s)
     out[~near] = (math.sqrt(math.pi) * math.gamma((n + 1) / 2.0) / (2.0 * math.gamma(n / 2.0 + 1.0))
@@ -196,7 +204,8 @@ def _tail_bracket(d: int, l: int, q: int, cells: int) -> tuple[float, float]:
     hi_out = np.minimum(np.maximum(g_out[:-1], g_out[1:]) + slack, 1.0)
     r = _remainder(np.concatenate((1.0 - ev.pole_gap(x_cap), lo_out, hi_out)), q)
     r_cap, r_lo, r_hi = np.split(r, [cells + 1, cells + 1 + lo_out.size])
-    mu = np.diff(_sin_power_integral(d - 1, np.concatenate((x_cap, x_out[1:]))))
+    mu = np.diff(np.concatenate((_sin_power_integral(d - 1, x_cap),
+                                 _sin_power_integral(d - 1, x_out[1:]))))
     return (2.0 * float(mu @ np.concatenate((r_cap[1:], r_lo))),
             2.0 * float(mu @ np.concatenate((r_cap[:-1], r_hi))))
 
@@ -287,17 +296,28 @@ def c3_closed(d: int) -> float:
 # repeated averaging (Euler transformation) of the alternating partial sums
 
 
+@functools.cache
 def _bessel_zeros(d: int, count: int) -> np.ndarray:
-    """The first ``count`` positive zeros of J_{d/2-1}, increasing."""
+    """The first ``count`` positive zeros of J_{d/2-1}, increasing (read-only)."""
     nu = d / 2.0 - 1.0
     if d == 3:
-        return math.pi * np.arange(1, count + 1)
-    if nu == int(nu):
-        return _sp.jn_zeros(int(nu), count)
-    # Half-integer order nu >= 3/2: consecutive zeros are more than pi
-    # apart and j_{nu,1} > nu, so a scan from nu in steps of pi/2 puts each
-    # zero alone in a cell where J_nu changes sign.  (McMahon guesses alone
-    # are too far off for the first zeros at large order.)
+        zeros = math.pi * np.arange(1, count + 1)
+    elif nu == int(nu):
+        zeros = _sp.jn_zeros(int(nu), count)
+    else:
+        zeros = _half_integer_zeros(nu, count)
+    zeros.flags.writeable = False
+    return zeros
+
+
+def _half_integer_zeros(nu: float, count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of J_nu, half-integer nu >= 3/2.
+
+    Consecutive zeros are more than pi apart and j_{nu,1} > nu, so a scan
+    from nu in steps of pi/2 puts each zero alone in a cell where J_nu
+    changes sign.  (McMahon guesses alone are too far off for the first
+    zeros at large order.)
+    """
     k = np.arange(1, count + 1)
     beta = (k + nu / 2.0 - 0.25) * math.pi
     guess = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
@@ -327,36 +347,43 @@ def _bessel_zeros(d: int, count: int) -> np.ndarray:
     return z
 
 
+@functools.cache
+def _panel_rule(order: int):
+    """The Gauss-Legendre rule of one lobe panel."""
+    return gauss_legendre(order)
+
+
 @dataclass(frozen=True)
 class _LobeRule:
-    """Shared nodes for integrals between consecutive Bessel zeros."""
+    """Shared nodes for integrals between consecutive Bessel zeros, with the
+    kernel Jt_d at the nodes; every array is read-only."""
 
     nodes: np.ndarray
     weights: np.ndarray
     lobe_id: np.ndarray
+    kernel: np.ndarray
     n_lobes: int
 
 
-# Gauss-Legendre panel rules by order, built once per process
-_PANEL_RULES: dict = {}
-
-
-def _lobe_rule(d: int, n_lobes: int, first_panels: int, gl_order: int = 24) -> _LobeRule:
+# One entry: consecutive calls share a key (first_panels moves with q only
+# through ceil(2 sqrt((2q+1)/d))), and a rule holds ~2k nodes per array.
+# Call it positionally everywhere; keyword and positional keys differ.
+@functools.lru_cache(maxsize=1)
+def _lobe_rule(d: int, n_lobes: int, first_panels: int, gl_order: int) -> _LobeRule:
+    """Gauss-Legendre panels: ``first_panels`` equal ones up to the first
+    zero of J_{d/2-1}, then one per lobe up to zero ``n_lobes``."""
     zeros = _bessel_zeros(d, n_lobes)
-    base = _PANEL_RULES.get(gl_order)
-    if base is None:
-        base = _PANEL_RULES[gl_order] = gauss_legendre(gl_order)
+    base = _panel_rule(gl_order)
     edges = np.concatenate([np.linspace(0.0, zeros[0], first_panels + 1), zeros[1:]])
     lobe_of_edge = np.concatenate([np.zeros(first_panels, dtype=int),
                                    np.arange(1, n_lobes)])
-    nodes, weights, lobe_id = [], [], []
-    for a, b, lob in zip(edges[:-1], edges[1:], lobe_of_edge):
-        half = 0.5 * (b - a)
-        nodes.append(a + half * (base.nodes + 1.0))
-        weights.append(half * base.weights)
-        lobe_id.append(np.full(gl_order, lob))
-    return _LobeRule(np.concatenate(nodes), np.concatenate(weights),
-                     np.concatenate(lobe_id), n_lobes)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (edges[:-1, None] + half[:, None] * (base.nodes + 1.0)).ravel()
+    arrays = (nodes, (half[:, None] * base.weights).ravel(),
+              np.repeat(lobe_of_edge, gl_order), _kernel(d)(nodes))
+    for a in arrays:
+        a.flags.writeable = False
+    return _LobeRule(*arrays, n_lobes)
 
 
 def _accelerate(lobe_sums: np.ndarray, levels: int = 12) -> tuple[float, float, int]:
@@ -385,15 +412,15 @@ def _c_batch(d: int, q_list, n_lobes: int = _DEFAULT_LOBES,
     Returns (values, errors, acceleration levels applied[, lobe sums]).
     """
     qs = sorted(set(int(q) for q in q_list))
-    if qs[0] < 1:
-        raise ValueError("need q >= 1")
+    if not qs or qs[0] < 1:
+        raise ValueError(f"need at least one q, all >= 1, got {qs}")
     s_max = 2 * qs[-1] + 1
     first_panels = max(8, int(math.ceil(2.0 * math.sqrt(s_max / d))))
-    rule = _lobe_rule(d, n_lobes, first_panels)
-    j = _kernel(d)(rule.nodes)
+    rule = _lobe_rule(d, n_lobes, first_panels, 24)
+    j = rule.kernel
     base = rule.weights * rule.nodes ** (d - 1)
     j2 = j * j
-    power = j.copy()
+    power = j
     cur = 1
     values, errors, lobe_sums = {}, {}, {}
     for q in qs:
@@ -462,6 +489,8 @@ def defect_constant_lower_bound(d: int) -> float:
     c_{2q+1;d} > 0, and the q = 1 term alone is already a proof-grade bound
     (c_{3;d} has a closed form).  For d = 2 this evaluates to 32/sqrt(27).
     """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
     ss = sphere_surface(d) * sphere_surface(d - 1)
     return 2.0 * ss * _W1 * c3_closed(d)
 
@@ -478,6 +507,10 @@ def constant_estimate(d: int, method: str = "series",
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
+    if q_terms < 1:
+        raise ValueError(f"need q_terms >= 1, got {q_terms}")
+    if n_lobes < 2:
+        raise ValueError(f"need n_lobes >= 2, got {n_lobes}")
     ss = sphere_surface(d) * sphere_surface(d - 1)
     if method == "series":
         values, errors, levels = _c_batch(d, range(1, q_terms + 1), n_lobes=n_lobes)
@@ -496,9 +529,8 @@ def constant_estimate(d: int, method: str = "series",
                                  "acceleration_levels": levels,
                                  "tail_completion": 2.0 * ss * tail})
     if method == "integral":
-        first_panels = 8
-        rule = _lobe_rule(d, n_lobes, first_panels, gl_order=32)
-        j = np.clip(_kernel(d)(rule.nodes), -1.0, 1.0)
+        rule = _lobe_rule(d, n_lobes, 8, 32)
+        j = np.clip(rule.kernel, -1.0, 1.0)
         f = rule.weights * rule.nodes ** (d - 1) * (np.arcsin(j) - j)
         lobes = np.bincount(rule.lobe_id, f, minlength=rule.n_lobes)
         est, err, levels = _accelerate(lobes)

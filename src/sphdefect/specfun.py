@@ -23,6 +23,7 @@ so the S^3 polar factors C_n^(L+1) are G_{n;2L+3}.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -316,14 +317,9 @@ class ScaledBesselKernel:
         return scale * _sp.jv(self.nu, psi) / psi ** self.nu
 
 
-_KERNEL_CACHE: dict = {}
-
-
+@functools.cache
 def _kernel(d: int) -> ScaledBesselKernel:
-    k = _KERNEL_CACHE.get(d)
-    if k is None:
-        k = _KERNEL_CACHE[d] = ScaledBesselKernel(d)
-    return k
+    return ScaledBesselKernel(d)
 
 
 def scaled_bessel(d: int, psi):

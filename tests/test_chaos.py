@@ -174,6 +174,28 @@ class TestBracketProperties:
                         w[j - 1] * x ** (2 * j + 1) for j in range(1, q + 1))
                     assert abs(r - float(ref)) <= 2 * (q + 3) * np.finfo(float).eps
 
+    def test_sin_power_integral_matches_mpmath(self):
+        import mpmath
+
+        from sphdefect.chaos import _sin_power_integral
+
+        quarter = math.pi / 4
+        xs = np.array([0.0, 1e-2 / (400 * 8), 1.0 / 400, 1.25 / 400, 1.25 / 40,
+                       np.nextafter(quarter, 0.0), quarter, np.nextafter(quarter, 2.0),
+                       1.2, math.pi / 2])
+        with mpmath.workdps(30):
+            for n in range(1, 8):
+                # as x^(n+1) int_0^1 (sin(x s)/x)^n ds, so the integrand is
+                # not below mpmath's absolute tolerance at cap-sized x
+                ref = np.array([0.0] + [
+                    float(x ** (n + 1) * mpmath.quad(lambda s: (mpmath.sin(x * s) / x) ** n, [0, 1]))
+                    for x in map(mpmath.mpf, xs[1:])])
+                # series sized to the whole array, to the cap alone, to each point
+                one = np.concatenate([_sin_power_integral(n, xs[i:i + 1]) for i in range(xs.size)])
+                for got, want in ((_sin_power_integral(n, xs), ref),
+                                  (_sin_power_integral(n, xs[:5]), ref[:5]), (one, ref)):
+                    assert np.all(np.abs(got - want) <= 2e-14 * want), n
+
     @pytest.mark.parametrize("d,l", [(2, 400), (3, 100)])
     def test_cap_edges_non_increasing(self, d, l):
         # the cap enclosure [G(b), G(a)] needs G monotone on [0, X], X <= 1.25/l
@@ -255,6 +277,103 @@ class TestBesselZeros:
         # d >= 41 once returned the second zero twice and missed the first
         assert np.all(np.diff(zeros) > 0.0)
         assert np.max(np.abs(zeros - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_integer_order_matches_mpmath(self, d):
+        import mpmath
+
+        from sphdefect.chaos import _DEFAULT_LOBES, _bessel_zeros
+
+        ref = np.array([float(mpmath.besseljzero(d // 2 - 1, k))
+                        for k in range(1, _DEFAULT_LOBES + 1)])
+        zeros = _bessel_zeros(d, _DEFAULT_LOBES)
+        assert np.all(np.diff(zeros) > 0.0)
+        assert np.max(np.abs(zeros - ref) / ref) <= 1e-13
+
+    def test_cached_zeros_refuse_writes(self):
+        from sphdefect.chaos import _bessel_zeros
+
+        zeros = _bessel_zeros(4, 10)
+        assert _bessel_zeros(4, 10) is zeros
+        with pytest.raises(ValueError):
+            zeros[0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def fresh_c():
+    """c_coefficient(d, q, full_output=True), d 2, 3 and q 1..40, each with
+    the zeros and lobe-rule caches emptied first."""
+    from sphdefect.chaos import _bessel_zeros, _lobe_rule
+
+    out = {}
+    for d in (2, 3):
+        for q in range(1, 41):
+            _lobe_rule.cache_clear()
+            _bessel_zeros.cache_clear()
+            out[d, q] = c_coefficient(d, q, full_output=True)
+    return out
+
+
+class TestLobeRule:
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.sampled_from([2, 3]), order=st.permutations(range(1, 41)),
+           between=st.lists(st.tuples(st.integers(0, 39), st.integers(2, 5),
+                                      st.sampled_from(["series", "integral"])),
+                            max_size=4))
+    def test_cached_rule_gives_fresh_values(self, fresh_c, d, order, between):
+        # constant_estimate calls evict the one cached rule mid-loop
+        calls = {i: (dc, method) for i, dc, method in between}
+        for i, q in enumerate(order):
+            if i in calls:
+                constant_estimate(calls[i][0], calls[i][1], q_terms=20)
+            value, err = c_coefficient(d, q, full_output=True)
+            assert value.hex() == fresh_c[d, q][0].hex(), q
+            assert err.hex() == fresh_c[d, q][1].hex(), q
+
+    def test_rule_arrays_refuse_writes(self):
+        from sphdefect.chaos import _lobe_rule
+
+        rule = _lobe_rule(3, 12, 8, 24)
+        for name in ("nodes", "weights", "lobe_id", "kernel"):
+            with pytest.raises(ValueError):
+                getattr(rule, name)[0] = 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_panel_by_panel_construction(self, d):
+        from sphdefect.chaos import _bessel_zeros, _lobe_rule
+        from sphdefect.specfun import ScaledBesselKernel
+        from sphdefect.spherequad import gauss_legendre
+
+        zeros = _bessel_zeros(d, 30)
+        for first_panels in (8, 13, 41):
+            edges = np.concatenate([np.linspace(0.0, zeros[0], first_panels + 1), zeros[1:]])
+            owner = [0] * first_panels + list(range(1, 30))
+            for order in (24, 32):
+                base = gauss_legendre(order)
+                nodes, weights, lobe_id = [], [], []
+                for a, b, lobe in zip(edges[:-1], edges[1:], owner):
+                    half = 0.5 * (b - a)
+                    nodes.append(a + half * (base.nodes + 1.0))
+                    weights.append(half * base.weights)
+                    lobe_id.append(np.full(order, lobe))
+                rule = _lobe_rule(d, 30, first_panels, order)
+                assert rule.n_lobes == 30
+                assert np.array_equal(rule.nodes, np.concatenate(nodes))
+                assert np.array_equal(rule.weights, np.concatenate(weights))
+                assert np.array_equal(rule.lobe_id, np.concatenate(lobe_id))
+                assert np.array_equal(rule.kernel, ScaledBesselKernel(d)(rule.nodes))
+
+    def test_q_loop_builds_few_rules(self):
+        # first_panels moves with q only through ceil(2 sqrt((2q+1)/d))
+        from sphdefect.chaos import _bessel_zeros, _lobe_rule
+
+        _lobe_rule.cache_clear()
+        _bessel_zeros.cache_clear()
+        for q in range(1, 41):
+            c_coefficient(2, q)
+        assert _lobe_rule.cache_info().misses <= 6
+        assert _lobe_rule.cache_info().maxsize == 1  # one rule alive, not one per key
+        assert _bessel_zeros.cache_info().misses == 1
 
 
 class TestConstant:

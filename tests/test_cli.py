@@ -200,6 +200,18 @@ class TestConstant:
         assert "series" not in r
         assert r["integral"]["value"] == pytest.approx(63.4661, rel=1e-4)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--d", "2", "--q-terms", "0"], "q_terms >= 1"),
+        (["--d", "2", "--n-lobes", "1"], "n_lobes >= 2"),
+        (["--d", "2", "--n-lobes", "0"], "n_lobes >= 2"),
+        (["--d", "1"], "d >= 2"),
+    ])
+    def test_bad_arguments_exit_2(self, flags, message, capsys):
+        code, out, err = run(["constant", *flags, "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_disagreement_exit_1(self, capsys, monkeypatch):
         # force a fake inflated series estimate through the plumbing
         real = cli.constant_estimate
