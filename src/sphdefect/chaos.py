@@ -28,10 +28,10 @@ by that series and, independently, by the conditionally convergent integral
 
 both handled by lobe partition at the Bessel zeros plus repeated averaging
 of the alternating partial sums (plain upper-limit truncation diverges too
-slowly to be usable).  The Bessel zeros, and the last lobe rule with its
-Jt_d values, are kept per process (read-only).  Exact integer
-combinatorial inequalities used by the fourth-moment analysis are checked
-in facile_check.
+slowly to be usable); all orders wanted form one (order x lobe) matrix of
+lobe sums, averaged in one call.  The Bessel zeros, and the last lobe rule
+with its Jt_d values, are kept per process (read-only).  Exact integer
+combinatorial inequalities of the fourth-moment analysis: facile_check.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _plan(d: int, l: int, target: float, q_max: int | None) -> tuple[int, int]:
                 / (_W1 * c3_closed(d) * target))
     balance = 2.0 * (_TABLE_COST[0] * l + _TABLE_COST[1]) / (d - 1)
     cells = int(max(1024, min(need(_Q_MIN), max(balance, min(need(_Q_MAX), 2 ** 16)))))
-    q = q_max or _Q_MIN
+    q = _Q_MIN if q_max is None else q_max
     while q_max is None and q < _Q_MAX and need(q) > cells:
         q = min(_Q_MAX, q + q // 4)
     return q, cells
@@ -244,6 +244,8 @@ def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) 
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
+    if q_max is not None and q_max < 1:
+        raise ValueError(f"need q_max >= 1, got {q_max}")
     if l % 2 == 1:
         return VarianceReport(d, l, 0, 0.0, 0.0, np.zeros(0), tol, True)
     ss = sphere_surface(d) * sphere_surface(d - 1)
@@ -386,54 +388,49 @@ def _lobe_rule(d: int, n_lobes: int, first_panels: int, gl_order: int) -> _LobeR
     return _LobeRule(*arrays, n_lobes)
 
 
-def _accelerate(lobe_sums: np.ndarray, levels: int = 12) -> tuple[float, float, int]:
-    """Limit of an alternating lobe series by repeated pairwise averaging.
+_LEVELS, _DEFAULT_LOBES = 12, 72  # averaging levels; lobes of a series
 
-    Returns (estimate, error estimate, averaging levels applied); the error
-    estimate is the change in the tail value over the final averaging level.
-    Short series get fewer levels: min(levels, len(lobe_sums) - 2) + 1.
+
+def _accelerate(lobe_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Limits of alternating lobe series, along the last axis, by repeated
+    pairwise averaging of the partial sums: (estimates, error estimates of
+    the leading shape, levels applied); an error estimate is the change of
+    the tail value over the last level.  Rows of a matrix get their 1-D
+    results to the bit.  Short series get min(_LEVELS, n - 2) + 1 levels.
     """
-    s = np.cumsum(lobe_sums)
-    levels = min(levels, len(s) - 2)
+    s = np.cumsum(lobe_sums, axis=-1)
+    levels = min(_LEVELS, s.shape[-1] - 2)
     for _ in range(levels):
-        s = 0.5 * (s[:-1] + s[1:])
-    before = s[-1]
-    s = 0.5 * (s[:-1] + s[1:])
-    return float(s[-1]), float(abs(s[-1] - before)), levels + 1
+        s = 0.5 * (s[..., :-1] + s[..., 1:])
+    before = s[..., -1]
+    s = 0.5 * (s[..., :-1] + s[..., 1:])
+    # contiguous: BLAS dots of strided and contiguous vectors round apart
+    return s[..., -1].copy(), np.abs(s[..., -1] - before), levels + 1
 
 
-_DEFAULT_LOBES = 72
+def _c_batch(d: int, qs, n_lobes: int = _DEFAULT_LOBES) -> np.ndarray:
+    """Lobe sums of Jt_d^(2q+1) psi^(d-1) for increasing orders qs >= 1.
 
-
-def _c_batch(d: int, q_list, n_lobes: int = _DEFAULT_LOBES,
-             keep_lobes: bool = False):
-    """c_{2q+1;d} for every q in q_list from one shared evaluation of Jt_d.
-
-    Returns (values, errors, acceleration levels applied[, lobe sums]).
+    Returns the (len(qs), n_lobes) matrix, row i for qs[i], from one power
+    chain of the shared Jt_d values; :func:`_accelerate` turns it into
+    c_{2q+1;d} estimates.  Only the rows asked for are summed.
     """
-    qs = sorted(set(int(q) for q in q_list))
-    if not qs or qs[0] < 1:
-        raise ValueError(f"need at least one q, all >= 1, got {qs}")
-    s_max = 2 * qs[-1] + 1
-    first_panels = max(8, int(math.ceil(2.0 * math.sqrt(s_max / d))))
+    qs = [int(q) for q in qs]
+    if not qs or qs[0] < 1 or any(a >= b for a, b in zip(qs, qs[1:])):
+        raise ValueError(f"need increasing orders q >= 1, got {qs}")
+    first_panels = max(8, int(math.ceil(2.0 * math.sqrt((2 * qs[-1] + 1) / d))))
     rule = _lobe_rule(d, n_lobes, first_panels, 24)
     j = rule.kernel
     base = rule.weights * rule.nodes ** (d - 1)
     j2 = j * j
-    power = j
-    cur = 1
-    values, errors, lobe_sums = {}, {}, {}
-    for q in qs:
+    power, cur = j, 1
+    lobes = np.empty((len(qs), rule.n_lobes))
+    for row, q in zip(lobes, qs):
         while cur < 2 * q + 1:
             power = power * j2
             cur += 2
-        lobes = np.bincount(rule.lobe_id, base * power, minlength=rule.n_lobes)
-        values[q], errors[q], levels = _accelerate(lobes)
-        if keep_lobes:
-            lobe_sums[q] = lobes
-    if keep_lobes:
-        return values, errors, levels, lobe_sums
-    return values, errors, levels
+        row[:] = np.bincount(rule.lobe_id, base * power, minlength=rule.n_lobes)
+    return lobes
 
 
 def c_coefficient(d: int, q: int, method: str = "quadrature",
@@ -445,6 +442,8 @@ def c_coefficient(d: int, q: int, method: str = "quadrature",
     averaging (the integral is only conditionally convergent for small q).
     method="closed": the exact closed form, available for q = 1 only.
     """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     if method == "closed":
@@ -452,13 +451,14 @@ def c_coefficient(d: int, q: int, method: str = "quadrature",
             raise ValueError("closed form is available for q = 1 only")
         value, err = c3_closed(d), 0.0
     elif method == "quadrature":
-        values, errors, _, lobes = _c_batch(d, [q], keep_lobes=True)
-        value, err = values[q], errors[q]
+        lobes = _c_batch(d, [q])
+        values, errors, _ = _accelerate(lobes)
+        value, err = float(values[0]), float(errors[0])
         if err > 1e-6 * max(abs(value), 1e-12):
             raise ArithmeticError(
                 f"lobe-series acceleration did not converge: c_({2*q+1};{d}) "
                 f"~ {value} with error estimate {err}; partial sums "
-                f"{np.array2string(np.cumsum(lobes[q]), precision=8)}"
+                f"{np.array2string(np.cumsum(lobes[0]), precision=8)}"
             )
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -513,14 +513,14 @@ def constant_estimate(d: int, method: str = "series",
         raise ValueError(f"need n_lobes >= 2, got {n_lobes}")
     ss = sphere_surface(d) * sphere_surface(d - 1)
     if method == "series":
-        values, errors, levels = _c_batch(d, range(1, q_terms + 1), n_lobes=n_lobes)
+        values, errors, levels = _accelerate(_c_batch(d, range(1, q_terms + 1), n_lobes))
         w = chaos_weights_upto(q_terms)
-        partial = float(np.dot(w, [values[q] for q in range(1, q_terms + 1)]))
+        partial = float(np.dot(w, values))
         k_d = _PI_32 * d ** (d / 2.0) * math.gamma(d / 2.0) / 2.0
         tail = k_d * (float(_sp.zeta((3 + d) / 2.0, q_terms + 1))
                       - (5.0 + 3.0 * d) / 8.0 * float(_sp.zeta((5 + d) / 2.0, q_terms + 1)))
         tail_err = 3.0 * k_d * float(_sp.zeta((7 + d) / 2.0, q_terms + 1))
-        quad_err = float(np.dot(w, [errors[q] for q in range(1, q_terms + 1)]))
+        quad_err = float(np.dot(w, errors))
         value = 2.0 * ss * (partial + tail)
         # truncation estimate plus a machine-rounding allowance on the sum
         err = 2.0 * ss * (tail_err + quad_err) + 2e-11 * abs(value)
@@ -534,8 +534,8 @@ def constant_estimate(d: int, method: str = "series",
         f = rule.weights * rule.nodes ** (d - 1) * (np.arcsin(j) - j)
         lobes = np.bincount(rule.lobe_id, f, minlength=rule.n_lobes)
         est, err, levels = _accelerate(lobes)
-        value = 4.0 / math.pi * ss * est
-        err = 4.0 / math.pi * ss * err + 2e-11 * abs(value)
+        value = 4.0 / math.pi * ss * float(est)
+        err = 4.0 / math.pi * ss * float(err) + 2e-11 * abs(value)
         return ConstantEstimate(d, "integral", value, err,
                                 {"n_lobes": n_lobes, "gl_order": 32,
                                  "acceleration_levels": levels})

@@ -391,7 +391,10 @@ class CltConfig:
 
     master_seed: int = 20260813
     grid_degree: int | None = None
-    variance_tol: float = 1e-6
+
+
+# relative bracket width of the exact variance the defects are normalised by
+_VARIANCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -449,7 +452,7 @@ def clt_experiment(d: int, l: int, n_realizations: int,
         )
     defects = _spectral_defects(d, l, build_grid(d, degree), cfg.master_seed,
                                 n_realizations)
-    exact = exact_variance(d, l, tol=cfg.variance_tol).value
+    exact = exact_variance(d, l, tol=_VARIANCE_TOL).value
     z = defects / math.sqrt(exact)
     n = n_realizations
     mean = float(np.mean(z))

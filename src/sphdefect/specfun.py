@@ -245,15 +245,9 @@ def powers_dot(g: np.ndarray, weights: np.ndarray, k_list) -> dict:
 
 
 # Cache evaluators; construction cost is O(degree) but harmless to reuse.
-_GEG_CACHE: dict = {}
-
-
+@functools.cache
 def _gegenbauer_evaluator(d: int, l: int) -> GegenbauerEvaluator:
-    key = (d, l)
-    ev = _GEG_CACHE.get(key)
-    if ev is None:
-        ev = _GEG_CACHE[key] = GegenbauerEvaluator(d, l)
-    return ev
+    return GegenbauerEvaluator(d, l)
 
 
 def gegenbauer(d: int, l: int, t):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -122,6 +123,14 @@ class TestExactVariance:
         assert rep.per_q.shape == (rep.q_used,)
         # partial sums are increasing: every chaos term is nonnegative
         assert np.all(rep.per_q >= 0.0)
+
+    def test_rejects_order_below_one(self):
+        # an order of 0 is refused, not read as "unset" and planned
+        for l in (6, 7):
+            for q_max in (0, -1):
+                with pytest.raises(ValueError, match="q_max >= 1"):
+                    exact_variance(2, l, q_max=q_max)
+        assert exact_variance(2, 6, q_max=1).q_used == 1
 
     def test_unreachable_tolerance_reported_not_silent(self):
         rep = exact_variance(2, 2, tol=1e-15)
@@ -255,6 +264,12 @@ class TestCoefficients:
         for d in (2, 3, 4, 5):
             for q in range(1, 7):
                 assert c_coefficient(d, q) > 0.0
+
+    def test_rejects_dimension_below_two(self):
+        for d in (1, 0, -1):
+            for method in ("quadrature", "closed"):
+                with pytest.raises(ValueError, match="d >= 2"):
+                    c_coefficient(d, 1, method=method)
 
     def test_decay_in_q(self):
         # c_{2q+1;d} decreases in q once past the first few terms
@@ -413,6 +428,53 @@ class TestConstant:
             assert short.params["acceleration_levels"] == 9
             full = constant_estimate(2, method, q_terms=20)
             assert full.params["acceleration_levels"] == 13
+
+    def test_one_acceleration_per_call(self, monkeypatch):
+        from sphdefect import chaos
+
+        calls = []
+        real = chaos._accelerate
+
+        def counted(lobe_sums):
+            calls.append(np.shape(lobe_sums))
+            return real(lobe_sums)
+
+        monkeypatch.setattr(chaos, "_accelerate", counted)
+        for d in (2, 3):
+            for method, shape in (("series", (400, 72)), ("integral", (72,))):
+                calls.clear()
+                est = constant_estimate(d, method, q_terms=400)
+                assert calls == [shape], (d, method)
+                assert type(est.value) is float and type(est.error_estimate) is float
+                json.dumps(est.to_dict())
+            for q in (1, 5):
+                calls.clear()
+                value, err = c_coefficient(d, q, full_output=True)
+                assert calls == [(1, 72)]
+                assert type(value) is float and type(err) is float
+
+    def test_matrix_acceleration_equals_rows(self):
+        from sphdefect.chaos import _accelerate, _c_batch
+
+        rng = np.random.default_rng(5)
+        for lobes in (_c_batch(3, range(1, 41)), _c_batch(2, range(1, 401), 9),
+                      rng.standard_normal((7, 3)), rng.standard_normal((4, 30))):
+            est, err, levels = _accelerate(lobes)
+            assert est.shape == err.shape == lobes.shape[:1]
+            for i, row in enumerate(lobes):
+                e, r, lv = _accelerate(row)
+                assert (float(est[i]).hex(), float(err[i]).hex()) == (float(e).hex(), float(r).hex())
+                assert lv == levels == min(12, lobes.shape[1] - 2) + 1
+
+    def test_lobe_matrix_has_only_the_rows_asked_for(self):
+        from sphdefect.chaos import _c_batch
+
+        full = _c_batch(2, range(1, 8), 20)
+        assert full.shape == (7, 20)
+        assert np.array_equal(_c_batch(2, [3, 7], 20), full[[2, 6]])
+        for bad in ([], [0, 1], [2, 2], [3, 1]):
+            with pytest.raises(ValueError, match="increasing"):
+                _c_batch(2, bad)
 
     def test_estimate_metadata(self):
         est = constant_estimate(2, "series", q_terms=200)

@@ -180,6 +180,25 @@ class TestVariance:
         assert float(row[1]) == 0.0
         assert float(row[3]) == 0.0
 
+    @pytest.mark.parametrize("l", ["20", "5"])
+    @pytest.mark.parametrize("q_max", ["0", "-3"])
+    def test_order_below_one_exit_2(self, l, q_max, capsys):
+        # an order of 0 is refused, not replaced by the planned default
+        code, out, err = run(["variance", "--d", "2", "--l", l, "--q-max", q_max,
+                              "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "q_max >= 1" in err
+
+
+class TestCcoef:
+    @pytest.mark.parametrize("d", ["1", "0", "-1"])
+    def test_dimension_below_two_exit_2(self, d, capsys):
+        code, out, err = run(["ccoef", "--d", d, "--q", "1", "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "d >= 2" in err
+
 
 class TestConstant:
     def test_both_methods_json(self, capsys):
