@@ -242,6 +242,8 @@ def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) 
     :func:`_plan` (a margin for where it runs low), unless ``q_max`` pins
     it.  tol_achieved compares the computed width with ``tol``.
     """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     if q_max is not None and q_max < 1:

@@ -204,12 +204,9 @@ def _cmd_ccoef(args, out: _Writer) -> int:
 
 def _cmd_gaunt(args, out: _Writer) -> int:
     table = gaunt_table(args.d, args.l)
-    path = _resolve_output(args.output)
-    if path is None:
-        sys.stdout.write(table.to_text())
-    else:
-        table.save(path)
-    n_triples = table.to_text().count("\n") - 1
+    text = table.to_text()
+    _deliver(text, _resolve_output(args.output))
+    n_triples = text.count("\n") - 1
     print(f"gaunt table d={args.d} l={args.l}: {n_triples} canonical nonzero "
           f"triples, quadrature exactness {table.exactness}", file=sys.stderr)
     return 0

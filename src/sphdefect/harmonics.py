@@ -9,9 +9,10 @@ harmonics) by exact-degree quadrature, the double-sum identity
     sum_{m1,m2} Gaunt(m1,m2,M) Gaunt(m1,m2,M')
         = delta_{M,M'} (n^2/|S^d|) (|S^(d-1)|/|S^d|) int_{-1}^{1} G^3 w dt,
 
-and the circulant-diagram fourth-cumulant contraction with its closed form
-|S^d|^6 n^{-5} g^2, used to quantify the fourth-moment CLT criterion for
-the sample bispectrum.
+whose left side is the Gram matrix M of the table as an n^2 x n matrix,
+and the circulant fourth-cumulant diagram (|S^d|/n)^6 sum M^2, the scaled
+squared Frobenius norm of M, with closed form |S^d|^6 n^{-5} g^2, used to
+quantify the fourth-moment CLT criterion for the sample bispectrum.
 
 Flat index convention: m in {1..n} in stored tables and file formats
 (0-based rows internally).  For d=2 the map is m=1 -> zonal, m=2k ->
@@ -82,21 +83,6 @@ def _check_points(points: np.ndarray, d: int) -> np.ndarray:
     return pts
 
 
-def _eval_s2(l: int, points: np.ndarray) -> np.ndarray:
-    """All 2l+1 real degree-l harmonics at points on S^2, rows per flat m."""
-    ct = np.clip(points[:, 0], -1.0, 1.0)
-    st = np.hypot(points[:, 1], points[:, 2])
-    phi = np.arctan2(points[:, 2], points[:, 1])
-    w = _alp_rows(l, ct, st)
-    out = np.empty((2 * l + 1, points.shape[0]))
-    out[0] = w[0] / math.sqrt(2.0 * math.pi)
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    for m in range(1, l + 1):
-        out[2 * m - 1] = w[m] * np.cos(m * phi) * inv_sqrt_pi
-        out[2 * m] = w[m] * np.sin(m * phi) * inv_sqrt_pi
-    return out
-
-
 def _polar_s3(l: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     """S^3 polar factors N (sin chi)^L G_{l-L;2L+3}(cos chi), rows L = 0..l.
 
@@ -119,23 +105,31 @@ def _polar_s3(l: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_s3(l: int, points: np.ndarray) -> np.ndarray:
-    """All (l+1)^2 real degree-l harmonics at points on S^3.
-
-    Block L = 0..l: the polar factor of order L times the 2L+1 degree-L
-    harmonics of the S^2 direction; rows ordered by L then the S^2 flat
-    index.
-    """
-    ct1 = np.clip(points[:, 0], -1.0, 1.0)
-    s1 = np.linalg.norm(points[:, 1:], axis=1)
-    omega = np.zeros_like(points[:, 1:])
-    np.divide(points[:, 1:], s1[:, None], out=omega, where=s1[:, None] > 0)
-    omega[s1 == 0] = (1.0, 0.0, 0.0)  # (sin chi)^L kills every L >= 1 block
-    radial = _polar_s3(l, ct1, s1)
-    out = np.empty(((l + 1) ** 2, points.shape[0]))
+def _polar_table(d: int, l: int, cos, sin):
+    """(polar, slot) of :meth:`HarmonicBasis.ring_factors` at one cos and
+    one sin array per polar axis; basis function i is polar[m, L] times
+    azimuth row m, with L, m = divmod(slot[i], 2l+1)."""
+    width = 2 * l + 1
+    k_of_row = (np.arange(width) + 1) // 2
+    if d == 2:
+        return _alp_rows(l, cos[0], sin[0])[k_of_row][:, None, :], np.arange(width)
+    polar = np.zeros((width, l + 1, cos[0].size))
+    radial = _polar_s3(l, cos[0], sin[0])
     for big_l in range(l + 1):
-        out[big_l ** 2:(big_l + 1) ** 2] = radial[big_l] * _eval_s2(big_l, omega)
-    return out
+        block = 2 * big_l + 1
+        w = _alp_rows(big_l, cos[1], sin[1])
+        polar[:block, big_l] = radial[big_l] * w[k_of_row[:block]]
+    # block L fills rows m < 2L+1 of polar[:, L]: slot L*width + m, L-major
+    return polar, np.flatnonzero(np.arange(width) < 2 * np.arange(l + 1)[:, None] + 1)
+
+
+def _azimuth(l: int, angle: np.ndarray) -> np.ndarray:
+    """Azimuth rows of :meth:`HarmonicBasis.ring_factors` at angle[k-1] = k phi."""
+    azimuth = np.empty((2 * l + 1, angle.shape[1]))
+    azimuth[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    azimuth[1::2] = np.cos(angle) / math.sqrt(math.pi)
+    azimuth[2::2] = np.sin(angle) / math.sqrt(math.pi)
+    return azimuth
 
 
 @dataclass(frozen=True)
@@ -151,12 +145,21 @@ class HarmonicBasis:
 
     def evaluate(self, points) -> np.ndarray:
         pts = _check_points(points, self.d)
-        if self.d == 2:
-            return _eval_s2(self.l, pts)
-        return _eval_s3(self.l, pts)
+        # sines from the coordinates: sqrt(1 - cos^2) loses digits at the poles
+        cos = [np.clip(pts[:, 0], -1.0, 1.0)]
+        sin = [np.linalg.norm(pts[:, 1:], axis=1)]
+        if self.d == 3:  # at s1 = 0 only the L = 0 block is nonzero: (1, 0) will do
+            s1 = np.where(sin[0] > 0, sin[0], 1.0)
+            cos.append(np.where(sin[0] > 0, pts[:, 1] / s1, 1.0))
+            sin.append(np.hypot(pts[:, 2], pts[:, 3]) / s1)
+        phi = np.arctan2(pts[:, -1], pts[:, -2])
+        polar, slot = _polar_table(self.d, self.l, cos, sin)
+        rows, big_l = slot % (2 * self.l + 1), slot // (2 * self.l + 1)
+        azimuth = _azimuth(self.l, np.outer(np.arange(1, self.l + 1), phi))
+        return polar[rows, big_l] * azimuth[rows]
 
     def evaluate_on_grid(self, grid: QuadratureGrid) -> np.ndarray:
-        """Value matrix on a grid; antipodal grids get exact (-1)^l parity.
+        """Value matrix on a grid, with exact (-1)^l antipodal parity.
 
         Only the primary half is evaluated; the mirror half is written as
         +-(that value), so Y(-x) = (-1)^l Y(x) holds to the last bit and
@@ -164,8 +167,6 @@ class HarmonicBasis:
         """
         if grid.d != self.d:
             raise ValueError(f"grid dimension {grid.d} != basis dimension {self.d}")
-        if not grid.antipodal_symmetric:
-            return self.evaluate(grid.points)
         primary = grid.primary_indices()
         vals = self.evaluate(grid.points[primary])
         out = np.empty((self.size, grid.size))
@@ -190,30 +191,12 @@ class HarmonicBasis:
         for k = 1..l.  n_L = 1 on S^2; on S^3, L runs over the l+1 polar
         orders, whose degree-L S^2 blocks are prefixes of that order.
         """
-        l, width = self.l, 2 * self.l + 1
         cos = [np.asarray(t, dtype=float) for t in polar_nodes]
         sin = [np.sqrt(np.maximum(0.0, 1.0 - t * t)) for t in cos]
-        k_of_row = (np.arange(width) + 1) // 2
-        if self.d == 2:
-            polar = _alp_rows(l, cos[0], sin[0])[k_of_row][:, None, :]
-            slot = np.arange(width)
-        else:
-            polar = np.zeros((width, l + 1, cos[0].size))
-            slot = np.empty(self.size, dtype=np.intp)
-            radial = _polar_s3(l, cos[0], sin[0])
-            for big_l in range(l + 1):
-                block = 2 * big_l + 1
-                w = _alp_rows(big_l, cos[1], sin[1])
-                polar[:block, big_l] = radial[big_l] * w[k_of_row[:block]]
-                slot[big_l ** 2:(big_l + 1) ** 2] = big_l * width + np.arange(block)
+        polar, slot = _polar_table(self.d, self.l, cos, sin)
         # k*j reduced mod n_phi keeps every angle in [0, 2 pi) exactly
-        kj = np.outer(np.arange(1, l + 1), np.arange(n_phi)) % n_phi
-        angle = (2.0 * math.pi / n_phi) * kj
-        azimuth = np.empty((width, n_phi))
-        azimuth[0] = 1.0 / math.sqrt(2.0 * math.pi)
-        azimuth[1::2] = np.cos(angle) / math.sqrt(math.pi)
-        azimuth[2::2] = np.sin(angle) / math.sqrt(math.pi)
-        return polar, azimuth, slot
+        kj = np.outer(np.arange(1, self.l + 1), np.arange(n_phi)) % n_phi
+        return polar, _azimuth(self.l, (2.0 * math.pi / n_phi) * kj), slot
 
 
 def build_basis(d: int, l: int) -> HarmonicBasis:
@@ -265,10 +248,6 @@ class GauntTable:
                         lines.append(f"{i + 1} {j + 1} {k + 1} {v:.17g}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
     @classmethod
     def load(cls, path) -> "GauntTable":
         with open(path) as fh:
@@ -279,20 +258,23 @@ class GauntTable:
                 if not line.strip():
                     continue
                 a, b, c, v = line.split()
-                i, j, k = int(a) - 1, int(b) - 1, int(c) - 1
-                val = float(v)
-                for p, q, r in ((i, j, k), (i, k, j), (j, i, k),
-                                (j, k, i), (k, i, j), (k, j, i)):
-                    coeff[p, q, r] = val
-        return cls(d=d, l=l, n=n, exactness=exactness, coefficients=coeff)
+                coeff[tuple(sorted(int(x) - 1 for x in (a, b, c)))] = float(v)
+        return cls(d=d, l=l, n=n, exactness=exactness, coefficients=_from_canonical(coeff))
+
+
+def _from_canonical(t: np.ndarray) -> np.ndarray:
+    """Every entry gathered from its sorted index triple (reads only
+    i <= j <= k), so the table is exactly symmetric under all 6 permutations."""
+    return t[tuple(np.sort(np.indices(t.shape), axis=0))]
 
 
 def gaunt_table(d: int, l: int) -> GauntTable:
     """Gaunt coefficients of the full degree-l basis by exact quadrature.
 
     The triple product has polynomial degree 3l, so a grid of exactness 3l
-    integrates every coefficient exactly (up to rounding); the result is
-    symmetrized over index permutations and snapped to exact zeros.
+    integrates every coefficient exactly (up to rounding).  Only the
+    canonical entries i <= j <= k are computed; every entry is gathered from
+    its sorted index triple, and small ones are snapped to exact zeros.
     """
     basis = build_basis(d, l)
     n = basis.size
@@ -304,16 +286,11 @@ def gaunt_table(d: int, l: int) -> GauntTable:
         )
     b = basis.evaluate_on_grid(grid)
     bw = b * grid.weights
-    # one dgemm per slice: O(n P) scratch, not the n^2 P triple product
+    # one dgemm per slice on j, k >= i, all the gather below reads; O(n P) scratch
     t = np.empty((n, n, n))
     for i in range(n):
-        np.matmul(bw[i] * b, b.T, out=t[i])
-    t = (t + t.transpose(0, 2, 1) + t.transpose(1, 0, 2)
-         + t.transpose(1, 2, 0) + t.transpose(2, 0, 1) + t.transpose(2, 1, 0)) / 6.0
-    # rounding makes the six averages differ in the last bit per entry;
-    # gather every entry from its sorted index triple for exact symmetry
-    idx = np.sort(np.stack(np.indices((n, n, n))), axis=0)
-    t = t[idx[0], idx[1], idx[2]]
+        np.matmul(bw[i] * b[i:], b[i:].T, out=t[i, i:, i:])
+    t = _from_canonical(t)
     t[np.abs(t) < _SNAP] = 0.0
     return GauntTable(d=d, l=l, n=n, exactness=grid.exactness_degree, coefficients=t)
 
@@ -328,6 +305,17 @@ def gaunt_diagonal(d: int, l: int) -> float:
     return n * n / s_d * (sphere_surface(d - 1) / s_d) * cubic_integral(d, l)
 
 
+def _gram(table: GauntTable) -> np.ndarray:
+    """M = A^T A for A = coefficients.reshape(n*n, n), so that
+    M[c, e] = sum_{a,b} G_abc G_abe: one dgemm of n^4 flops, within budget."""
+    n = table.n
+    if float(n) ** 4 > _GAUNT_FLOP_BUDGET:
+        raise ValueError(f"Gram matrix of n={n}: n^4 = {float(n) ** 4:.2e} flops "
+                         f"exceeds budget {_GAUNT_FLOP_BUDGET:.0e}")
+    a = table.coefficients.reshape(n * n, n)
+    return a.T @ a
+
+
 def lemcg_check(table: GauntTable) -> np.ndarray:
     """Residual matrix of the Gaunt double-sum identity.
 
@@ -336,28 +324,18 @@ def lemcg_check(table: GauntTable) -> np.ndarray:
     """
     if table.l % 2 == 1:
         raise ValueError("the double-sum identity is stated for even l only")
-    m = np.tensordot(table.coefficients, table.coefficients, axes=([0, 1], [0, 1]))
-    return m - gaunt_diagonal(table.d, table.l) * np.eye(table.n)
+    return _gram(table) - gaunt_diagonal(table.d, table.l) * np.eye(table.n)
 
 
 def circulant_sum(table: GauntTable) -> float:
     """Circulant diagram (|S^d|/n)^6 sum G_{abc} G_{abe} G_{fge} G_{fgc}.
 
-    Direct contraction over the stored table, skipping zero slices (the
-    selection rules leave O(n^2) of the n^3 entries).
+    Summing over (a, b) and (f, g) first leaves sum_{c,e} M_ce M_ec with
+    M the Gram matrix of :func:`_gram`, which is symmetric: the circulant
+    is the scaled squared Frobenius norm of M.
     """
-    n = table.n
-    if float(n) ** 6 > 1e12:
-        raise ValueError(f"circulant sum over n={n} exceeds the n^6 budget")
-    g = table.coefficients
-    m = np.zeros((n, n))
-    for m1 in range(n):
-        sl = g[m1]
-        for m2 in np.nonzero(np.any(sl != 0.0, axis=1))[0]:
-            v = sl[m2]
-            idx = np.nonzero(v)[0]
-            m[np.ix_(idx, idx)] += np.outer(v[idx], v[idx])
-    scale = (sphere_surface(table.d) / n) ** 6
+    m = _gram(table)
+    scale = (sphere_surface(table.d) / table.n) ** 6
     return scale * float(np.sum(m * m))
 
 

@@ -343,19 +343,17 @@ def sample_field(d: int, l: int, grid: QuadratureGrid,
 def defect_estimate(sample: FieldSample) -> float:
     """sum_i w_i sign(T(x_i)), with sign(0) = 0.
 
-    On antipodal grids the sum is grouped by antipodal pair, so the exact
-    pointwise parity of odd-l spectral samples cancels to exactly 0.0.
+    The sum is grouped by antipodal pair, so the exact pointwise parity of
+    odd-l spectral samples cancels to exactly 0.0.
     """
     grid = sample.grid
     if sample.values.shape != (grid.size,):
         raise ValueError("sample values and grid size disagree")
     s = np.sign(sample.values)
-    if grid.antipodal_symmetric:
-        primary = grid.primary_indices()
-        mirror = grid.antipode_index[primary]
-        pair = grid.weights[primary] * s[primary] + grid.weights[mirror] * s[mirror]
-        return float(np.sum(pair))
-    return float(np.dot(grid.weights, s))
+    primary = grid.primary_indices()
+    mirror = grid.antipode_index[primary]
+    pair = grid.weights[primary] * s[primary] + grid.weights[mirror] * s[mirror]
+    return float(np.sum(pair))
 
 
 def wasserstein1_empirical(samples) -> float:

@@ -311,8 +311,7 @@ class QuadratureGrid:
     points: np.ndarray
     weights: np.ndarray
     exactness_degree: int
-    antipodal_symmetric: bool
-    antipode_index: np.ndarray | None = None
+    antipode_index: np.ndarray
     polar_rules: tuple = ()
     n_phi: int = 0
 
@@ -322,8 +321,6 @@ class QuadratureGrid:
 
     def primary_indices(self) -> np.ndarray:
         """Indices i with i < antipode_index[i]: one representative per pair."""
-        if self.antipode_index is None:
-            raise ValueError("grid is not antipodally symmetric")
         i = np.arange(self.size)
         return i[i < self.antipode_index]
 
@@ -415,7 +412,6 @@ def build_grid(d: int, degree: int, point_budget: int = 4_000_000) -> Quadrature
         points=points,
         weights=weights,
         exactness_degree=degree,
-        antipodal_symmetric=True,
         antipode_index=anti,
         polar_rules=tuple(polar),
         n_phi=n_phi,

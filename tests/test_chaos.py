@@ -132,6 +132,13 @@ class TestExactVariance:
                     exact_variance(2, l, q_max=q_max)
         assert exact_variance(2, 6, q_max=1).q_used == 1
 
+    def test_rejects_dimension_below_two(self):
+        # odd l is refused too, not answered with a certified 0
+        for d in (1, 0, -4):
+            for l in (3, 4):
+                with pytest.raises(ValueError, match="d >= 2"):
+                    exact_variance(d, l)
+
     def test_unreachable_tolerance_reported_not_silent(self):
         rep = exact_variance(2, 2, tol=1e-15)
         assert not rep.tol_achieved

@@ -134,6 +134,18 @@ class TestVariance:
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ["circulant", "--d", "2", "--l-range", "2:6:2", "--no-timestamp"],
+        ["lemcg", "--d", "3", "--l", "2", "--no-timestamp"],
+        ["gaunt", "--d", "2", "--l", "4"],
+        ["mc-clt", "--d", "2", "--l", "6", "--n", "40", "--no-timestamp"],
+    ], ids=lambda argv: argv[0])
+    def test_byte_identical_reruns_per_command(self, argv, capsys):
+        code1, out1, _ = run(argv, capsys)
+        code2, out2, _ = run(argv, capsys)
+        assert (code1, code2) == (0, 0)
+        assert out1 and out1 == out2
+
     def test_timestamp_line_present_by_default(self, capsys):
         code, out, _ = run(["variance", "--d", "2", "--l", "4",
                             "--tol", "1e-4"], capsys)
@@ -189,6 +201,16 @@ class TestVariance:
         assert code == 2
         assert out == ""
         assert "q_max >= 1" in err
+
+    @pytest.mark.parametrize("l", ["3", "4"])
+    @pytest.mark.parametrize("d", ["1", "-4"])
+    def test_dimension_below_two_exit_2(self, d, l, capsys):
+        # odd l is refused too, not answered with a certified 0
+        code, out, err = run(["variance", "--d", d, "--l", l, "--no-timestamp"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "d >= 2" in err
 
 
 class TestCcoef:
@@ -261,6 +283,15 @@ class TestGaunt:
         back = GauntTable.load(str(path))
         assert np.array_equal(back.coefficients,
                               gaunt_table(2, 4).coefficients)
+
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "new" / "deeper" / "g22.txt"
+        code, out, err = run(["gaunt", "--d", "2", "--l", "2",
+                              "-o", str(path)], capsys)
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == gaunt_table(2, 2).to_text()
+        assert "canonical nonzero" in err
 
     def test_stdout_text_format(self, capsys):
         code, out, _ = run(["gaunt", "--d", "2", "--l", "2"], capsys)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphdefect import harmonics
 from sphdefect.harmonics import (GauntTable, build_basis, circulant_closed,
                                  circulant_sum, cum4_ratio, gaunt_diagonal,
                                  gaunt_table, lemcg_check)
@@ -61,6 +62,33 @@ class TestBasis:
         direct = basis.evaluate(grid.points)
         via_grid = basis.evaluate_on_grid(grid)
         assert np.max(np.abs(direct - via_grid)) < 1e-13
+
+    @pytest.mark.parametrize("d,l,degree", [(2, 7, 16), (2, 12, 30), (3, 5, 12), (3, 8, 17)])
+    def test_evaluate_matches_ring_factors(self, d, l, degree):
+        # evaluate at grid points, plus S^3 points with s1 = 0 and points
+        # with x2 = x3 = 0, against the factored values on their rings
+        grid = build_grid(d, degree)
+        sizes = [t.size for t, _ in grid.polar_rules]
+        multi = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
+        nodes = [t[i] for (t, _), i in zip(grid.polar_rules, multi)]
+        extra = [[1.0, -1.0]] if d == 2 else [[1.0, -1.0, 0.6, 0.6], [1.0, 0.3, 1.0, -1.0]]
+        nodes = [np.concatenate([t, e]) for t, e in zip(nodes, extra)]
+        phi = 2.0 * math.pi * np.arange(grid.n_phi) / grid.n_phi
+        sin_prod, coords = np.ones(len(extra[0])), []
+        for c in extra:
+            c = np.array(c)
+            coords.append(sin_prod * c)
+            sin_prod = sin_prod * np.sqrt(1.0 - c * c)
+        coords = [np.repeat(x, grid.n_phi) for x in coords]
+        coords += [np.outer(sin_prod, np.cos(phi)).ravel(),
+                   np.outer(sin_prod, np.sin(phi)).ravel()]
+        points = np.vstack([grid.points, np.stack(coords, axis=1)])
+        basis = build_basis(d, l)
+        polar, azimuth, slot = basis.ring_factors(nodes, grid.n_phi)
+        big_l, m = np.divmod(slot, 2 * l + 1)
+        expected = polar[m, big_l][:, :, None] * azimuth[m][:, None, :]
+        got = basis.evaluate(points)
+        assert np.max(np.abs(got - expected.reshape(basis.size, -1))) < 1e-14
 
     def test_rejects_off_sphere_points(self):
         basis = build_basis(2, 3)
@@ -127,7 +155,7 @@ class TestGauntTable:
         for d, l in ((2, 3), (2, 4), (3, 2)):
             table = gaunt_table(d, l)
             path = tmp_path / f"gaunt_{d}_{l}.txt"
-            table.save(str(path))
+            path.write_text(table.to_text())
             back = GauntTable.load(str(path))
             assert back.d == d and back.l == l and back.n == table.n
             assert back.exactness == table.exactness
@@ -140,6 +168,17 @@ class TestGauntTable:
     def test_flop_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
             gaunt_table(2, 60)
+
+    def test_gram_budget_refusal(self, monkeypatch):
+        # the Gram matrix of n = 9 costs n^4 = 6561 flops
+        table = gaunt_table(2, 4)
+        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 9.0 ** 4)
+        lemcg_check(table)
+        circulant_sum(table)
+        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 9.0 ** 4 - 1)
+        for check in (lemcg_check, circulant_sum):
+            with pytest.raises(ValueError, match="budget"):
+                check(table)
 
 
 class TestIdentities:
@@ -163,6 +202,14 @@ class TestIdentities:
         c = circulant_closed(d, l)
         assert s == pytest.approx(c.value, rel=1e-12)
         assert c.g == pytest.approx(gaunt_diagonal(d, l), rel=1e-12)
+
+    @pytest.mark.parametrize("d,l", [(2, 4), (3, 2)])
+    def test_circulant_sum_matches_direct_contraction(self, d, l):
+        table = gaunt_table(d, l)
+        g = table.coefficients
+        direct = ((sphere_surface(d) / table.n) ** 6
+                  * np.einsum("abc,abe,fge,fgc->", g, g, g, g))
+        assert circulant_sum(table) == pytest.approx(direct, rel=1e-13)
 
     def test_circulant_growth_exponent(self):
         ls = np.arange(2, 41, 2)

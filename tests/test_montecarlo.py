@@ -218,7 +218,7 @@ class TestRingSampler:
     def test_needs_product_grid(self):
         grid = build_grid(2, 12)
         bare = QuadratureGrid(d=2, points=grid.points, weights=grid.weights,
-                              exactness_degree=12, antipodal_symmetric=False)
+                              exactness_degree=12, antipode_index=grid.antipode_index)
         with pytest.raises(ValueError, match="product grid"):
             sample_field(2, 4, bare, rng=stream(SEED, 0))
 

@@ -240,7 +240,6 @@ class TestGrid:
     def test_antipodal_structure_exact(self):
         for d in (2, 3):
             grid = build_grid(d, 11)
-            assert grid.antipodal_symmetric
             anti = grid.antipode_index
             # involution without fixed points, exact point negation,
             # exactly equal weights on paired nodes
