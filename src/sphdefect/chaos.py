@@ -248,6 +248,8 @@ def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) 
         raise ValueError(f"need l >= 1, got {l}")
     if q_max is not None and q_max < 1:
         raise ValueError(f"need q_max >= 1, got {q_max}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"need a finite tol > 0, got {tol}")
     if l % 2 == 1:
         return VarianceReport(d, l, 0, 0.0, 0.0, np.zeros(0), tol, True)
     ss = sphere_surface(d) * sphere_surface(d - 1)

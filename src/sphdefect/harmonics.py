@@ -279,11 +279,11 @@ def gaunt_table(d: int, l: int) -> GauntTable:
     basis = build_basis(d, l)
     n = basis.size
     grid = build_grid(d, max(3 * l, 2))
-    if n ** 3 * grid.size > _GAUNT_FLOP_BUDGET:
-        raise ValueError(
-            f"gaunt_table(d={d}, l={l}): n^3 * grid = {n ** 3 * grid.size:.2e} "
-            f"exceeds budget {_GAUNT_FLOP_BUDGET:.0e}"
-        )
+    # slice i is an (n-i) x P by P x (n-i) product: sum_i (n-i)^2 P flops
+    flops = n * (n + 1) * (2 * n + 1) // 6 * grid.size
+    if flops > _GAUNT_FLOP_BUDGET:
+        raise ValueError(f"gaunt_table(d={d}, l={l}): {flops:.2e} flops "
+                         f"exceeds budget {_GAUNT_FLOP_BUDGET:.0e}")
     b = basis.evaluate_on_grid(grid)
     bw = b * grid.weights
     # one dgemm per slice on j, k >= i, all the gather below reads; O(n P) scratch

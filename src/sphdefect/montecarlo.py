@@ -8,8 +8,9 @@ whose output is compared against the exact chaos-series variance and the
 standard normal (empirical mean/variance, quantile Wasserstein-1 distance,
 Kolmogorov-Smirnov statistic).
 
-The sampler never forms the n x N basis matrix.  Product grids are
-rings of a uniform azimuth rule, so on ring g
+The sampler never forms the n x N basis matrix.  It reads the ring
+layout of build_grid (spherequad._ring_layout): on ring g of a uniform
+azimuth rule
 
     T(ring g, phi_j) = sum_m c_m(g) E[m, j],
 
@@ -17,9 +18,10 @@ with 2l+1 ring coefficients c(g) contracted from the n coefficients by a
 per-ring polar table, and one azimuth table E of shape (2l+1) x n_phi.
 Memory is the tables, O(l n_theta + l n_phi) on S^2 (O(l^2) per ring on
 S^3), plus one output tile of _TILE bytes, whatever the realization count.
-T is evaluated on the primary rings only, a tile of realizations x rings
-at a time, one dgemm (R * rings, 2l+1) @ E per tile, and reduced while in
-cache to per-ring sign counts; mirror rings follow by antipodal parity.
+T is evaluated on the rings holding the primary half of the grid only, a
+tile of realizations x rings at a time, one dgemm (R * rings, 2l+1) @ E
+per tile, and reduced while in cache to per-ring sign counts; the mirror
+half follows by antipodal parity.
 The dgemm replaces the real FFT along each ring on purpose: n_phi is not
 FFT-friendly (802 = 2 * 401 at l = 40), and a batched scipy.fft.irfft of
 the 402,000 ring rows of 2000 realizations took 7.5-10.8 s there, where
@@ -54,7 +56,7 @@ from scipy.special import ndtr, ndtri
 from .chaos import exact_variance
 from .harmonics import build_basis
 from .specfun import sphere_surface
-from .spherequad import QuadratureGrid, build_grid
+from .spherequad import QuadratureGrid, _ring_layout, build_grid
 
 __all__ = [
     "FieldSample",
@@ -122,7 +124,6 @@ class _Rings:
     n_phi/2 points are primary.
     """
 
-    l: int
     sigma: float
     polar: np.ndarray
     azimuth: np.ndarray
@@ -132,22 +133,17 @@ class _Rings:
 
 
 def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
-    if not grid.polar_rules or grid.d != d:
-        raise ValueError("the spectral sampler needs a product grid of the same "
-                         "dimension from build_grid")
+    if grid.d != d:
+        raise ValueError(f"grid dimension {grid.d} != field dimension {d}")
     basis = build_basis(d, l)
-    n_phi = grid.n_phi
-    sizes = [t.size for t, _ in grid.polar_rules]
-    total = int(np.prod(sizes))
-    # ring g and ring total-1-g are antipodal; a centre ring maps onto itself
-    primary = (total + 1) // 2
-    multi = np.unravel_index(np.arange(primary), sizes)
-    nodes = [t[i] for (t, _), i in zip(grid.polar_rules, multi)]
-    polar, azimuth, slot = basis.ring_factors(nodes, n_phi)
-    w = grid.weights[np.arange(primary) * n_phi]
-    return _Rings(l=l, sigma=math.sqrt(sphere_surface(d) / basis.size),
+    nodes, weights = _ring_layout(grid.polar_rules, grid.n_phi)
+    # ring g and ring R-1-g are antipodal; a centre ring maps onto itself
+    primary = (weights.size + 1) // 2
+    polar, azimuth, slot = basis.ring_factors([t[:primary] for t in nodes], grid.n_phi)
+    w = weights[:primary]
+    return _Rings(sigma=math.sqrt(sphere_surface(d) / basis.size),
                   polar=polar, azimuth=azimuth, slot=slot,
-                  pair_weights=w + (-1.0) ** l * w, centre=total % 2 == 1)
+                  pair_weights=w + (-1.0) ** l * w, centre=weights.size % 2 == 1)
 
 
 # Bytes of one output tile of T (realizations x rings x n_phi): the tile
@@ -168,19 +164,14 @@ def _ring_defects(rings: _Rings, a: np.ndarray,
     per-ring sign counts count(T > 0) - count(T < 0); the defect is the
     fixed-order sum of counts times pair weights, so it depends on neither
     the tiling nor the batch a realization arrives in.  With ``values`` of
-    shape (R, grid size), T is also written on the grid: primary rings as
-    computed, mirror rings as exact (-1)^l copies.
+    shape (R, grid rings, n_phi), T is also written on the primary rings.
     """
     width, n_l, n_rings = rings.polar.shape
     n_phi = rings.azimuth.shape[1]
     half = n_phi // 2
-    parity = (-1.0) ** rings.l
     scattered = np.zeros((a.shape[0], n_l * width))
     scattered[:, rings.slot] = a
     coeff = scattered.reshape(-1, n_l, width).transpose(2, 0, 1)
-    if values is not None:
-        grid_rings = values.reshape(a.shape[0], -1, n_phi)
-        last = grid_rings.shape[1] - 1  # ring g's antipodal ring is last - g
     counts = np.empty((a.shape[0], n_rings))
     tile_rows = max(1, _TILE // (8 * n_phi))
     r_step = min(a.shape[0], tile_rows)
@@ -198,13 +189,7 @@ def _ring_defects(rings: _Rings, a: np.ndarray,
                 s[:, -1, half:] = 0
             counts[r0:r1, g0:g1] = s.sum(axis=2, dtype=np.int32)
             if values is not None:
-                grid_rings[r0:r1, g0:g1] = t
-                mirror = parity * np.roll(t, half, axis=2)
-                g = np.arange(g0, g1)
-                if rings.centre and g1 == n_rings:
-                    grid_rings[r0:r1, g1 - 1, half:] = mirror[:, -1, half:]
-                    g, mirror = g[:-1], mirror[:, :-1]
-                grid_rings[r0:r1, last - g] = mirror
+                values[r0:r1, g0:g1] = t
     return (counts * rings.pair_weights).sum(axis=1)
 
 
@@ -320,8 +305,8 @@ def sample_field(d: int, l: int, grid: QuadratureGrid,
     """Draw one realization of the degree-l Gaussian field on the grid.
 
     a_m i.i.d. N(0, |S^d|/n) against the explicit basis, evaluated ring by
-    ring on a build_grid product grid as a batch of 1; the mirror rings are
-    written as copies, so T(-x) = (-1)^l T(x) exactly.  The ring tables of
+    ring on a build_grid grid as a batch of 1; the mirror half is written
+    as copies, so T(-x) = (-1)^l T(x) exactly.  The ring tables of
     the last (d, l, grid) are kept, so repeated draws on one grid build
     them once.
     """
@@ -336,7 +321,9 @@ def sample_field(d: int, l: int, grid: QuadratureGrid,
     rings = cached[2]
     a = rng.normal(0.0, rings.sigma, rings.slot.size)
     values = np.empty(grid.size)
-    _ring_defects(rings, a[None, :], values[None, :])
+    _ring_defects(rings, a[None, :], values.reshape(1, -1, grid.n_phi))
+    half = grid.size // 2
+    values[grid.antipode_index[:half]] = (-1.0) ** l * values[:half]
     return FieldSample(d=d, l=l, grid=grid, values=values)
 
 

@@ -3,9 +3,9 @@
 Everything here targets exactness: rule orders are always chosen from the
 polynomial degree of the integrand (k*l for k-th powers of a degree-l
 Gegenbauer polynomial, 3*l for triple products), so identity checks test
-mathematics rather than discretization.  Grids on S^d are hyperspherical
-product rules, antipodally symmetric by construction, which makes parity
-cancellations exact per realization.
+mathematics rather than discretization.  Grids on S^2 and S^3 are
+hyperspherical product rules laid out ring by ring, antipodally symmetric
+by construction, which makes parity cancellations exact per realization.
 
 Gegenbauer moments (the variance series needs exactness ~4e5) use rules
 that are uniform in the angle t = cos x: Fejer rules (even d; FFT weights,
@@ -27,7 +27,7 @@ integrals run Fejer rules at every size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -70,56 +70,33 @@ def _symmetric(x: np.ndarray, w: np.ndarray):
     return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
-def _golub_welsch(n: int, b: np.ndarray, p, c: float, mass: float):
-    """Symmetric Gauss rule from the off-diagonal b of its Jacobi matrix.
+def gauss_legendre(n: int) -> IntervalRule:
+    """n-point Gauss-Legendre rule on [-1, 1], exactness degree 2n - 1.
 
-    Step for step as scipy.special's roots_legendre and roots_gegenbauer
-    compute it (same nodes and weights), except that the eigenvalues come
-    from numpy.linalg.eigvalsh: scipy's versions import scipy.linalg on
-    their first call.  ``p(n, x)`` is the orthogonal polynomial, whose
-    derivative is (-n x p_n + (n + c) p_{n-1}) / (1 - x^2); the weights sum
-    to ``mass``.  Nodes and weights are exactly +-symmetric (used for
-    parity arguments).
+    Golub-Welsch, step for step as scipy.special.roots_legendre computes it
+    (same nodes and weights), except that the eigenvalues come from
+    numpy.linalg.eigvalsh: scipy's version imports scipy.linalg on its
+    first call.  Nodes and weights are exactly +-symmetric (used for parity
+    arguments).
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    k = np.arange(1.0, n)
+    b = k * np.sqrt(1.0 / (4 * k * k - 1))
     x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    # one Newton step on p_n, then w = 1/(p_{n-1} p_n') with both factors
-    # scaled to the middle of their log range
-    dp = (-n * x * p(n, x) + (n + c) * p(n - 1, x)) / (1 - x ** 2)
+    p = _sp.eval_legendre
+    # one Newton step on P_n, P_n' = n (P_{n-1} - x P_n) / (1 - x^2), then
+    # w = 1/(P_{n-1} P_n') with both factors scaled to the middle of their
+    # log range
+    dp = (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)
     x -= p(n, x) / dp
     pm = p(n - 1, x)
     log_pm, log_dp = np.log(np.abs(pm)), np.log(np.abs(dp))
     pm /= np.exp((log_pm.max() + log_pm.min()) / 2.)
     dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)
     x, w = _symmetric(x, 1.0 / (pm * dp))
-    w *= mass / w.sum()
-    return x, w
-
-
-def gauss_legendre(n: int) -> IntervalRule:
-    """n-point Gauss-Legendre rule on [-1, 1], exactness degree 2n - 1.
-
-    Same nodes and weights as scipy.special.roots_legendre (see
-    :func:`_golub_welsch`).
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    k = np.arange(1.0, n)
-    x, w = _golub_welsch(n, k * np.sqrt(1.0 / (4 * k * k - 1)), _sp.eval_legendre, 0, 2.0)
+    w *= 2.0 / w.sum()
     return IntervalRule(x, w, 2 * n - 1)
-
-
-def _gauss_gegenbauer(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight (1-t^2)^a, integer a >= 1.
-
-    Same nodes and weights as scipy.special.roots_jacobi(n, a, a), which is
-    roots_gegenbauer(n, a + 1/2) (see :func:`_golub_welsch`).
-    """
-    alpha = a + 0.5
-    k = np.arange(1.0, n)
-    b = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
-    mass = np.sqrt(np.pi) * _sp.gamma(alpha + 0.5) / _sp.gamma(alpha + 1)
-    return _golub_welsch(n, b, lambda m, x: _sp.eval_gegenbauer(m, alpha, x),
-                         2 * alpha - 1, mass)
 
 
 def fejer_rule(n: int) -> IntervalRule:
@@ -291,7 +268,7 @@ def geodesic(x, y) -> float:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Product quadrature grid on S^d.
+    """Product quadrature grid on S^2 or S^3, as built by :func:`build_grid`.
 
     points: (N, d+1) unit vectors; weights sum to |S^d|;
     exactness_degree: polynomials on R^(d+1) of total degree <= this
@@ -300,11 +277,13 @@ class QuadratureGrid:
     closed under the antipodal map with exactly equal weights, and the
     mirrored coordinates are exact IEEE negations).
 
-    Product grids also keep their factor rules: ``polar_rules`` holds one
-    (nodes, weights) pair per polar angle, in cos form, and ``n_phi`` the
-    size of the uniform azimuth rule phi_j = 2 pi j / n_phi.  Points are
-    enumerated ring by ring (polar multi-index first, azimuth fastest), and
-    every point of a ring carries the same weight.
+    The grid keeps its factor rules: ``polar_rules`` holds one (nodes,
+    weights) pair per polar angle, in cos form, and ``n_phi`` the size of
+    the uniform azimuth rule phi_j = 2 pi j / n_phi.  Points run ring by
+    ring, rings in polar multi-index order (last axis fastest) and the
+    azimuth fastest within a ring; every point of a ring carries the same
+    weight.  The first N/2 points are the primary half: i < antipode_index[i]
+    exactly when i < N/2.
     """
 
     d: int
@@ -312,108 +291,95 @@ class QuadratureGrid:
     weights: np.ndarray
     exactness_degree: int
     antipode_index: np.ndarray
-    polar_rules: tuple = ()
-    n_phi: int = 0
+    polar_rules: tuple
+    n_phi: int
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
     def primary_indices(self) -> np.ndarray:
-        """Indices i with i < antipode_index[i]: one representative per pair."""
-        i = np.arange(self.size)
-        return i[i < self.antipode_index]
+        """The first N/2 indices, i < antipode_index[i]: one per antipodal pair."""
+        return np.arange(self.size // 2)
 
     def integrate(self, values: np.ndarray) -> float:
         """Fixed-order weighted sum; deterministic for a given grid."""
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
-def _polar_rule(alpha2: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    # rule for weight (1-t^2)^(alpha2/2), alpha2 = d - j - 1 for factor j
-    if alpha2 % 2 == 0:
-        n = (degree + alpha2) // 2 + 1
-        if alpha2 == 0:
-            rule = gauss_legendre(n)
-            t, w = rule.nodes, rule.weights
-        else:
-            t, w = _gauss_gegenbauer(n, alpha2 // 2)
-    else:
-        n = (degree + alpha2 - 1) // 2 + 1
-        t, w = chebyshev_sqrt_rule(n)
-        if alpha2 > 1:
-            w = w * (1.0 - t * t) ** ((alpha2 - 1) // 2)
-    return t, w
+# points a grid may have; build_grid refuses larger ones before any rule
+_POINT_BUDGET = 4_000_000
 
 
-def build_grid(d: int, degree: int, point_budget: int = 4_000_000) -> QuadratureGrid:
-    """Antipodally symmetric product rule on S^d with polynomial exactness.
+def _ring_layout(polar_rules, n_phi: int) -> tuple[list, np.ndarray]:
+    """The rings of a product grid, in polar multi-index order (last axis
+    fastest): one array of cos nodes per polar axis, whose entry g is ring
+    g's node on that axis, and the weight of each point of ring g, the
+    product of its polar weights times the azimuth weight 2 pi / n_phi."""
+    nodes, weights = [], np.ones(1)
+    for t, w in polar_rules:
+        nodes = [np.repeat(x, t.size) for x in nodes] + [np.tile(t, weights.size)]
+        weights = np.multiply.outer(weights, w).ravel()
+    return nodes, weights * (2.0 * math.pi / n_phi)
 
-    Hyperspherical coordinates x = (cos t1, sin t1 cos t2, ...), polar
-    factors handled by Gauss rules matched to their (sin)^power weights, the
-    periodic angle by a uniform rule with an even node count >= degree + 1.
-    The antipodal partner of each point is stored, and its coordinates are
-    written as exact negations so parity cancellations are exact.
+
+def build_grid(d: int, degree: int) -> QuadratureGrid:
+    """Antipodally symmetric product rule on S^2 or S^3 with polynomial exactness.
+
+    Hyperspherical coordinates x = (cos t1, sin t1 cos t2, ...).  Each polar
+    factor has degree//2 + 1 Gauss nodes matched to its (sin)^power weight
+    (second-kind Gauss-Chebyshev for the first angle on S^3, Gauss-Legendre
+    for the last polar angle); the azimuth is a uniform rule with an even
+    node count n_phi >= degree + 1.
+
+    Layout: ring by ring in polar multi-index order (last axis fastest),
+    the azimuth phi_j = 2 pi j / n_phi fastest within a ring.  Every polar
+    node list is exactly +-symmetric, so ring g's antipodal ring is
+    R - 1 - g with phi shifted by n_phi/2, and the first N/2 points are the
+    primary half; the mirror half is written as their exact negations, so
+    parity cancellations are exact.  The point count is checked against
+    the budget before any rule is built.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    if d > 6:
-        raise ValueError(f"d = {d} unsupported (product rules provided for d <= 6)")
+    if d not in (2, 3):
+        raise ValueError(f"product grids exist for d in {{2, 3}}, got d={d}")
     if degree < 0:
         raise ValueError(f"need degree >= 0, got {degree}")
     degree = max(degree, 1)
-
-    polar = [_polar_rule(d - j - 1, degree) for j in range(1, d)]
-    n_phi = degree + 1
-    if n_phi % 2:
-        n_phi += 1
-    n_phi = max(n_phi, 4)
-    sizes = [len(t) for t, _ in polar] + [n_phi]
-    total = int(np.prod(sizes))
-    if total > point_budget:
+    n_polar = degree // 2 + 1
+    n_phi = max(2 * n_polar, 4)
+    total = n_polar ** (d - 1) * n_phi
+    if total > _POINT_BUDGET:
         raise ValueError(
-            f"grid would need {total} points, over the budget of {point_budget}"
+            f"grid would need {total} points, over the budget of {_POINT_BUDGET}"
         )
 
+    legendre = gauss_legendre(n_polar)
+    polar = [(legendre.nodes, legendre.weights)]
+    if d == 3:  # chi's weight sin(chi) goes first
+        polar.insert(0, chebyshev_sqrt_rule(n_polar))
+    nodes, ring_weights = _ring_layout(polar, n_phi)
+    rings = ring_weights.size
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    w_phi = np.full(n_phi, 2.0 * math.pi / n_phi)
+    points = np.empty((rings, n_phi, d + 1))
+    sin_prod = np.ones(rings)
+    for j, t in enumerate(nodes):
+        points[:, :, j] = (sin_prod * t)[:, None]
+        sin_prod = sin_prod * np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    points[:, :, d - 1] = np.outer(sin_prod, np.cos(phi))
+    points[:, :, d] = np.outer(sin_prod, np.sin(phi))
+    points = points.reshape(total, d + 1)
 
-    # flat enumeration, last axis fastest
-    grids = np.meshgrid(*[t for t, _ in polar], phi, indexing="ij")
-    flat = [g.reshape(-1) for g in grids]
-    weight_grids = np.meshgrid(*[w for _, w in polar], w_phi, indexing="ij")
-    weights = np.ones(total)
-    for wg in weight_grids:
-        weights = weights * wg.reshape(-1)
-
-    points = np.empty((total, d + 1))
-    sin_prod = np.ones(total)
-    for j in range(d - 1):
-        tj = flat[j]
-        points[:, j] = sin_prod * tj
-        sin_prod = sin_prod * np.sqrt(np.maximum(0.0, 1.0 - tj * tj))
-    points[:, d - 1] = sin_prod * np.cos(flat[d - 1])
-    points[:, d] = sin_prod * np.sin(flat[d - 1])
-
-    # antipode: every polar node list is exactly +-symmetric (enforced by the
-    # rule constructors), phi -> phi + pi is an index shift of n_phi/2
-    multi = np.unravel_index(np.arange(total), sizes)
-    anti_multi = [sizes[j] - 1 - multi[j] for j in range(d - 1)]
-    anti_multi.append((multi[d - 1] + n_phi // 2) % n_phi)
-    anti = np.ravel_multi_index(anti_multi, sizes)
-
-    # overwrite the mirror half with exact negations
-    primary = np.arange(total) < anti
-    points[anti[primary]] = -points[primary]
-    weights[anti[primary]] = weights[primary]
+    anti = ((rings - 1 - np.arange(rings))[:, None] * n_phi
+            + (np.arange(n_phi) + n_phi // 2) % n_phi).ravel()
+    half = total // 2
+    points[anti[:half]] = -points[:half]
 
     return QuadratureGrid(
         d=d,
         points=points,
-        weights=weights,
+        weights=np.repeat(ring_weights, n_phi),
         exactness_degree=degree,
         antipode_index=anti,
         polar_rules=tuple(polar),
         n_phi=n_phi,
     )
-

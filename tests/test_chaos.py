@@ -139,6 +139,12 @@ class TestExactVariance:
                 with pytest.raises(ValueError, match="d >= 2"):
                     exact_variance(d, l)
 
+    def test_rejects_bad_tolerance(self):
+        for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-8):
+            for l in (4, 5):
+                with pytest.raises(ValueError, match="finite tol > 0"):
+                    exact_variance(2, l, tol=tol)
+
     def test_unreachable_tolerance_reported_not_silent(self):
         rep = exact_variance(2, 2, tol=1e-15)
         assert not rep.tol_achieved

@@ -202,6 +202,16 @@ class TestVariance:
         assert out == ""
         assert "q_max >= 1" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_exit_2(self, tol, capsys):
+        # NaN used to pass the planner and print a bracket; 0 and -1 ran to
+        # the order cap only to report tol_achieved false
+        code, out, err = run(["variance", "--d", "2", "--l", "4", "--tol", tol,
+                              "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite tol > 0" in err
+
     @pytest.mark.parametrize("l", ["3", "4"])
     @pytest.mark.parametrize("d", ["1", "-4"])
     def test_dimension_below_two_exit_2(self, d, l, capsys):
@@ -356,6 +366,21 @@ class TestMcClt:
                            capsys)
         assert code == 2
         assert "no even l" in err
+
+    def test_grid_over_budget_exit_2(self, capsys):
+        # refused from the point count, before the 500,001-node polar rule
+        code, out, err = run(["mc-clt", "--d", "2", "--l", "4", "--n", "10",
+                              "--grid-degree", "1000000", "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    def test_dimension_without_grid_exit_2(self, capsys):
+        code, out, err = run(["mc-clt", "--d", "4", "--l", "4", "--n", "10",
+                              "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "d in {2, 3}, got d=4" in err
 
     def test_dump_realizations(self, capsys, tmp_path):
         path = tmp_path / "defects.csv"

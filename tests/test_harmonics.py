@@ -8,7 +8,7 @@ from sphdefect.harmonics import (GauntTable, build_basis, circulant_closed,
                                  circulant_sum, cum4_ratio, gaunt_diagonal,
                                  gaunt_table, lemcg_check)
 from sphdefect.specfun import eigenspace_dim, gegenbauer, sphere_surface
-from sphdefect.spherequad import build_grid, cubic_integral, geodesic
+from sphdefect.spherequad import _ring_layout, build_grid, cubic_integral, geodesic
 
 
 def _random_unit(rng, n, dim):
@@ -68,9 +68,7 @@ class TestBasis:
         # evaluate at grid points, plus S^3 points with s1 = 0 and points
         # with x2 = x3 = 0, against the factored values on their rings
         grid = build_grid(d, degree)
-        sizes = [t.size for t, _ in grid.polar_rules]
-        multi = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
-        nodes = [t[i] for (t, _), i in zip(grid.polar_rules, multi)]
+        nodes, _ = _ring_layout(grid.polar_rules, grid.n_phi)
         extra = [[1.0, -1.0]] if d == 2 else [[1.0, -1.0, 0.6, 0.6], [1.0, 0.3, 1.0, -1.0]]
         nodes = [np.concatenate([t, e]) for t, e in zip(nodes, extra)]
         phi = 2.0 * math.pi * np.arange(grid.n_phi) / grid.n_phi
@@ -168,6 +166,15 @@ class TestGauntTable:
     def test_flop_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):
             gaunt_table(2, 60)
+
+    def test_gaunt_budget_models_canonical_slices(self, monkeypatch):
+        # (2, 4): n = 9 on a 7 x 14 grid; the slices j, k >= i cost
+        # sum_i (9 - i)^2 * 98 = 285 * 98 flops
+        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 285 * 98)
+        assert gaunt_table(2, 4).n == 9
+        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 285 * 98 - 1)
+        with pytest.raises(ValueError, match="budget"):
+            gaunt_table(2, 4)
 
     def test_gram_budget_refusal(self, monkeypatch):
         # the Gram matrix of n = 9 costs n^4 = 6561 flops

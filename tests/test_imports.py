@@ -32,7 +32,7 @@ from sphdefect import build_grid, clt_experiment, constant_estimate, montecarlo
 print("concurrent.futures" in sys.modules, montecarlo._openblas.cache_info().currsize)
 clt_experiment(3, 4, 20)
 constant_estimate(5, "integral", n_lobes=10)
-build_grid(4, 20)
+build_grid(3, 20)
 print(",".join(m for m in ("scipy.stats", "scipy.optimize", "scipy.linalg")
                if m in sys.modules))
 """

@@ -17,7 +17,7 @@ from sphdefect.montecarlo import (CltConfig, FieldSample, clt_experiment,
                                   wasserstein1_empirical)
 from sphdefect.montecarlo import _spectral_defects
 from sphdefect.specfun import gegenbauer, sphere_surface
-from sphdefect.spherequad import QuadratureGrid, build_grid
+from sphdefect.spherequad import build_grid
 
 SEED = 618970
 
@@ -215,12 +215,11 @@ class TestRingSampler:
         assert len(built) == 7
         assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
 
-    def test_needs_product_grid(self):
-        grid = build_grid(2, 12)
-        bare = QuadratureGrid(d=2, points=grid.points, weights=grid.weights,
-                              exactness_degree=12, antipode_index=grid.antipode_index)
-        with pytest.raises(ValueError, match="product grid"):
-            sample_field(2, 4, bare, rng=stream(SEED, 0))
+    def test_refuses_grid_of_other_dimension(self):
+        # an S^3 grid's rings would give an S^2 field wrong values, not an error
+        for d, grid in ((2, build_grid(3, 12)), (3, build_grid(2, 12))):
+            with pytest.raises(ValueError, match="dimension"):
+                sample_field(d, 4, grid, rng=stream(SEED, 0))
 
 
 class TestWorkers:

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy.fft import next_fast_len
 
 from sphdefect.specfun import (GegenbauerEvaluator, eigenspace_dim, gegenbauer,
                                powers_dot, sphere_surface)
-from sphdefect.spherequad import (_polar_rule, _weight_rule, build_grid,
+from sphdefect import spherequad
+from sphdefect.spherequad import (_ring_layout, _weight_rule, build_grid,
                                   chebyshev_sqrt_rule, cubic_integral, fejer_rule,
                                   gauss_legendre, gegenbauer_moment,
                                   gegenbauer_moment_table, geodesic)
@@ -37,19 +38,6 @@ class TestIntervalRules:
         rule = gauss_legendre(n)
         assert np.max(np.abs(rule.nodes - nodes), initial=0.0) <= 4e-16
         assert np.max(np.abs(rule.weights - weights), initial=0.0) <= 4e-16
-
-    @pytest.mark.parametrize("alpha2", [2, 4])
-    @pytest.mark.parametrize("degree", [0, 5, 20, 61, 200])
-    def test_polar_rule_matches_scipy_roots_jacobi(self, alpha2, degree):
-        # the Gauss rule for (1-t^2)^(alpha2/2) of the S^d product grids
-        from scipy.special import roots_jacobi
-
-        t, w = _polar_rule(alpha2, degree)
-        nodes, weights = roots_jacobi(t.size, alpha2 / 2.0, alpha2 / 2.0)
-        assert t.size == (degree + alpha2) // 2 + 1
-        assert np.max(np.abs(t - nodes)) <= 1e-14
-        assert np.max(np.abs(w - weights)) <= 1e-14
-        assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
 
     def test_fejer_positive_and_exact(self):
         rule = fejer_rule(20)
@@ -237,20 +225,48 @@ class TestGrid:
         assert grid.integrate(g4 * g4) == pytest.approx(
             sphere_surface(2) / eigenspace_dim(2, 4), rel=1e-12)
 
-    def test_antipodal_structure_exact(self):
-        for d in (2, 3):
-            grid = build_grid(d, 11)
-            anti = grid.antipode_index
-            # involution without fixed points, exact point negation,
-            # exactly equal weights on paired nodes
-            assert np.all(anti[anti] == np.arange(grid.size))
-            assert np.all(anti != np.arange(grid.size))
-            assert np.array_equal(grid.points[anti], -grid.points)
-            assert np.array_equal(grid.weights[anti], grid.weights)
+    # degree//2 + 1 nodes per polar axis: an odd count (degree//2 even) puts
+    # a centre ring, its own antipodal image, in the middle of the grid
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), degree=st.integers(0, 60))
+    @example(d=2, degree=32)
+    @example(d=3, degree=20)
+    @example(d=3, degree=11)
+    def test_antipodal_structure_exact(self, d, degree):
+        grid = build_grid(d, degree)
+        i = np.arange(grid.size)
+        anti = grid.antipode_index
+        # involution without fixed points, pairing the first half of the
+        # points with the second; exact point negation, exactly equal
+        # weights on paired nodes
+        assert np.array_equal(anti[anti], i)
+        assert np.all(anti != i)
+        assert np.array_equal(i < anti, i < grid.size // 2)
+        assert np.array_equal(grid.points[anti], -grid.points)
+        assert np.array_equal(grid.weights[anti], grid.weights)
+        # the ring helper: rings in polar multi-index order (last axis
+        # fastest), equal weights within a ring summing to |S^d|, cos nodes
+        # equal to the grid's polar coordinates ring by ring
+        nodes, ring_weights = _ring_layout(grid.polar_rules, grid.n_phi)
+        mesh = np.meshgrid(*[t for t, _ in grid.polar_rules], indexing="ij")
+        assert all(np.array_equal(t, m.ravel()) for t, m in zip(nodes, mesh))
+        rings = grid.points.reshape(-1, grid.n_phi, d + 1)
+        assert np.array_equal(grid.weights.reshape(rings.shape[:2]),
+                              np.repeat(ring_weights[:, None], grid.n_phi, axis=1))
+        assert np.sum(grid.weights) == pytest.approx(sphere_surface(d), rel=1e-13)
+        assert np.array_equal(rings[:, :, 0], np.repeat(nodes[0][:, None], grid.n_phi, axis=1))
+        if d == 3:
+            cos2 = rings[:, :, 1] / np.linalg.norm(rings[:, :, 1:], axis=2)
+            assert np.max(np.abs(cos2 - nodes[1][:, None])) <= 1e-15
 
-    def test_primary_indices_partition(self):
-        grid = build_grid(2, 9)
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.sampled_from([2, 3]), degree=st.integers(0, 60))
+    @example(d=2, degree=9)
+    @example(d=3, degree=20)
+    def test_primary_indices_partition(self, d, degree):
+        grid = build_grid(d, degree)
         primary = grid.primary_indices()
+        assert np.array_equal(primary, np.flatnonzero(np.arange(grid.size) < grid.antipode_index))
         mirrored = grid.antipode_index[primary]
         together = np.sort(np.concatenate([primary, mirrored]))
         assert np.array_equal(together, np.arange(grid.size))
@@ -258,3 +274,24 @@ class TestGrid:
     def test_point_budget(self):
         with pytest.raises(ValueError):
             build_grid(3, 2000)
+
+    def test_point_budget_checked_before_any_rule(self, monkeypatch):
+        def no_rule(n):
+            raise AssertionError(f"built a {n}-node rule")
+
+        # build_grid(2, 10) has 6 polar nodes x 12 azimuths = 72 points, all
+        # from the Gauss-Legendre rule
+        budget = spherequad._POINT_BUDGET
+        monkeypatch.setattr(spherequad, "_POINT_BUDGET", 72)
+        monkeypatch.setattr(spherequad, "chebyshev_sqrt_rule", no_rule)
+        assert build_grid(2, 10).size == 72
+        monkeypatch.setattr(spherequad, "gauss_legendre", no_rule)
+        for d, degree, points in ((2, 10, 71), (2, 6000, budget), (3, 2000, budget)):
+            monkeypatch.setattr(spherequad, "_POINT_BUDGET", points)
+            with pytest.raises(ValueError, match="budget"):
+                build_grid(d, degree)
+
+    @pytest.mark.parametrize("d", [1, 4, 6])
+    def test_only_s2_and_s3(self, d):
+        with pytest.raises(ValueError, match=r"d in \{2, 3\}"):
+            build_grid(d, 20)
