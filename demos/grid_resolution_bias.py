@@ -25,8 +25,7 @@ print(__doc__)
 
 def discrete_sign_variance(l: int, degree: int) -> float:
     """Exact sum_{xy} w_x w_y (2/pi) arcsin G_l(<x,y>) on a product grid."""
-    rule = gauss_legendre(degree // 2 + 1)
-    c, w = rule.nodes, rule.weights
+    c, w = gauss_legendre(degree // 2 + 1)
     s = np.sqrt(1.0 - c * c)
     n_az = degree + 1
     w_az = 2.0 * math.pi / n_az

@@ -134,10 +134,6 @@ class VarianceReport:
     tol: float
     tol_achieved: bool
 
-    def to_dict(self) -> dict:
-        keys = ("d", "l", "q_used", "value", "tail_bound", "tol", "tol_achieved")
-        return {k: getattr(self, k) for k in keys}
-
 
 # Relative rounding allowance at each end of the bracket: partial sums moved
 # <= 1.3e-13 across rule sizes (d <= 5, l <= 400, q <= 2048), weights match
@@ -267,12 +263,15 @@ def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) 
 
 def variance_closed_form(d: int, l: int) -> float:
     """Var(D_l) by the summed series (4/pi) |S^d||S^(d-1)| *
-    int_0^(pi/2) (arcsin G - G)(cos x) (sin x)^(d-1) dx  (even l only).
+    int_0^(pi/2) (arcsin G - G)(cos x) (sin x)^(d-1) dx  (even l >= 2 only;
+    at l = 0 the first chaos, which the formula leaves out, does not vanish).
 
     Independent of the term-by-term route: the arcsin is evaluated directly
     under Fejer rules in the angle, doubled until stationary (the integrand
     is analytic).  Used as a cross-check oracle.
     """
+    if l < 1:
+        raise ValueError(f"need l >= 1, got {l}")
     if l % 2 == 1:
         raise ValueError("closed form applies to even l only (odd l gives 0)")
     ev = _gegenbauer_evaluator(d, l)
@@ -379,13 +378,13 @@ def _lobe_rule(d: int, n_lobes: int, first_panels: int, gl_order: int) -> _LobeR
     """Gauss-Legendre panels: ``first_panels`` equal ones up to the first
     zero of J_{d/2-1}, then one per lobe up to zero ``n_lobes``."""
     zeros = _bessel_zeros(d, n_lobes)
-    base = _panel_rule(gl_order)
+    x, w = _panel_rule(gl_order)
     edges = np.concatenate([np.linspace(0.0, zeros[0], first_panels + 1), zeros[1:]])
     lobe_of_edge = np.concatenate([np.zeros(first_panels, dtype=int),
                                    np.arange(1, n_lobes)])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (edges[:-1, None] + half[:, None] * (base.nodes + 1.0)).ravel()
-    arrays = (nodes, (half[:, None] * base.weights).ravel(),
+    nodes = (edges[:-1, None] + half[:, None] * (x + 1.0)).ravel()
+    arrays = (nodes, (half[:, None] * w).ravel(),
               np.repeat(lobe_of_edge, gl_order), _kernel(d)(nodes))
     for a in arrays:
         a.flags.writeable = False
@@ -480,10 +479,6 @@ class ConstantEstimate:
     value: float
     error_estimate: float
     params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"d": self.d, "method": self.method, "value": self.value,
-                "error_estimate": self.error_estimate, "params": self.params}
 
 
 def defect_constant_lower_bound(d: int) -> float:

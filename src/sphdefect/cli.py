@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
@@ -167,7 +168,7 @@ def _cmd_constant(args, out: _Writer) -> int:
     methods = ["series", "integral"] if args.method == "both" else [args.method]
     estimates = {m: constant_estimate(args.d, m, q_terms=args.q_terms,
                                       n_lobes=args.n_lobes) for m in methods}
-    payload = {m: e.to_dict() for m, e in estimates.items()}
+    payload = {m: dataclasses.asdict(e) for m, e in estimates.items()}
     payload["lower_bound"] = lb
     status = 0
     if len(estimates) == 2:

@@ -161,17 +161,17 @@ class HarmonicBasis:
     def evaluate_on_grid(self, grid: QuadratureGrid) -> np.ndarray:
         """Value matrix on a grid, with exact (-1)^l antipodal parity.
 
-        Only the primary half is evaluated; the mirror half is written as
-        +-(that value), so Y(-x) = (-1)^l Y(x) holds to the last bit and
-        downstream antipodal cancellations are exact.
+        Only the primary half, the first N/2 points, is evaluated; the mirror
+        half is written as +-(that value), so Y(-x) = (-1)^l Y(x) holds to
+        the last bit and downstream antipodal cancellations are exact.
         """
         if grid.d != self.d:
             raise ValueError(f"grid dimension {grid.d} != basis dimension {self.d}")
-        primary = grid.primary_indices()
-        vals = self.evaluate(grid.points[primary])
+        half = grid.size // 2
+        vals = self.evaluate(grid.points[:half])
         out = np.empty((self.size, grid.size))
-        out[:, primary] = vals
-        out[:, grid.antipode_index[primary]] = (-1.0) ** self.l * vals
+        out[:, :half] = vals
+        out[:, grid.antipode_index[:half]] = (-1.0) ** self.l * vals
         return out
 
     def ring_factors(self, polar_nodes, n_phi: int):
@@ -225,7 +225,7 @@ class GauntTable:
     """All n^3 same-degree Gaunt coefficients int Y_m1 Y_m2 Y_m3 dx.
 
     coefficients[i, j, k] uses 0-based rows of the flat basis order; the
-    text format and value() are 1-based.  Entries are exactly symmetric
+    text format is 1-based.  Entries are exactly symmetric
     under all 6 index permutations and exact 0 below the snap threshold.
     """
 
@@ -234,9 +234,6 @@ class GauntTable:
     n: int
     exactness: int
     coefficients: np.ndarray
-
-    def value(self, m1: int, m2: int, m3: int) -> float:
-        return float(self.coefficients[m1 - 1, m2 - 1, m3 - 1])
 
     def to_text(self) -> str:
         lines = [f"{self.d} {self.l} {self.n} {self.exactness}"]

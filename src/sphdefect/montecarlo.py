@@ -9,7 +9,7 @@ standard normal (empirical mean/variance, quantile Wasserstein-1 distance,
 Kolmogorov-Smirnov statistic).
 
 The sampler never forms the n x N basis matrix.  It reads the ring
-layout of build_grid (spherequad._ring_layout): on ring g of a uniform
+layout the grid carries (ring_nodes, ring_weights): on ring g of a uniform
 azimuth rule
 
     T(ring g, phi_j) = sum_m c_m(g) E[m, j],
@@ -56,7 +56,7 @@ from scipy.special import ndtr, ndtri
 from .chaos import exact_variance
 from .harmonics import build_basis
 from .specfun import sphere_surface
-from .spherequad import QuadratureGrid, _ring_layout, build_grid
+from .spherequad import QuadratureGrid, build_grid
 
 __all__ = [
     "FieldSample",
@@ -136,14 +136,15 @@ def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
     if grid.d != d:
         raise ValueError(f"grid dimension {grid.d} != field dimension {d}")
     basis = build_basis(d, l)
-    nodes, weights = _ring_layout(grid.polar_rules, grid.n_phi)
     # ring g and ring R-1-g are antipodal; a centre ring maps onto itself
-    primary = (weights.size + 1) // 2
-    polar, azimuth, slot = basis.ring_factors([t[:primary] for t in nodes], grid.n_phi)
-    w = weights[:primary]
+    n_rings = grid.ring_weights.size
+    primary = (n_rings + 1) // 2
+    polar, azimuth, slot = basis.ring_factors([t[:primary] for t in grid.ring_nodes],
+                                              grid.n_phi)
+    w = grid.ring_weights[:primary]
     return _Rings(sigma=math.sqrt(sphere_surface(d) / basis.size),
                   polar=polar, azimuth=azimuth, slot=slot,
-                  pair_weights=w + (-1.0) ** l * w, centre=weights.size % 2 == 1)
+                  pair_weights=w + (-1.0) ** l * w, centre=n_rings % 2 == 1)
 
 
 # Bytes of one output tile of T (realizations x rings x n_phi): the tile
@@ -296,8 +297,10 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     return defects
 
 
-# sample_field's ring tables for the last (d, l, grid) it was called with
-_last_rings: tuple | None = None
+# sample_field's ring tables for its last (d, l, grid); grids hash by identity
+@functools.lru_cache(maxsize=1)
+def _sample_rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
+    return _rings(d, l, grid)
 
 
 def sample_field(d: int, l: int, grid: QuadratureGrid,
@@ -310,15 +313,9 @@ def sample_field(d: int, l: int, grid: QuadratureGrid,
     the last (d, l, grid) are kept, so repeated draws on one grid build
     them once.
     """
-    global _last_rings
     if rng is None:
         rng = stream(0, 0)
-    key = (d, l, id(grid))
-    cached = _last_rings
-    if cached is None or cached[0] != key:
-        # the entry holds the grid, so its id cannot be reused while cached
-        cached = _last_rings = (key, grid, _rings(d, l, grid))
-    rings = cached[2]
+    rings = _sample_rings(d, l, grid)
     a = rng.normal(0.0, rings.sigma, rings.slot.size)
     values = np.empty(grid.size)
     _ring_defects(rings, a[None, :], values.reshape(1, -1, grid.n_phi))
@@ -337,9 +334,9 @@ def defect_estimate(sample: FieldSample) -> float:
     if sample.values.shape != (grid.size,):
         raise ValueError("sample values and grid size disagree")
     s = np.sign(sample.values)
-    primary = grid.primary_indices()
-    mirror = grid.antipode_index[primary]
-    pair = grid.weights[primary] * s[primary] + grid.weights[mirror] * s[mirror]
+    half = grid.size // 2
+    mirror = grid.antipode_index[:half]
+    pair = grid.weights[:half] * s[:half] + grid.weights[mirror] * s[mirror]
     return float(np.sum(pair))
 
 
@@ -405,15 +402,6 @@ class CltDiagnostics:
     grid_degree: int
     defects: np.ndarray = field(repr=False, compare=False, default=None)
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d, "l": self.l, "n_realizations": self.n_realizations,
-            "mean": self.mean, "mean_se": self.mean_se,
-            "variance": self.variance, "variance_se": self.variance_se,
-            "exact_var": self.exact_var, "w1": self.w1, "ks": self.ks,
-            "seed": self.seed, "grid_degree": self.grid_degree,
-        }
-
 
 def clt_experiment(d: int, l: int, n_realizations: int,
                    config: CltConfig | None = None) -> CltDiagnostics:
@@ -435,6 +423,7 @@ def clt_experiment(d: int, l: int, n_realizations: int,
             f"grid degree {degree} under-resolves l={l}: the sign functional "
             f"needs exactness >= {nyquist_degree(l)} (4l + 20 nodes per great circle)"
         )
+    build_basis(d, l)  # refuses an unsupported (d, l) before the grid is built
     defects = _spectral_defects(d, l, build_grid(d, degree), cfg.master_seed,
                                 n_realizations)
     exact = exact_variance(d, l, tol=_VARIANCE_TOL).value

@@ -20,8 +20,8 @@ so one DCT of the coefficients gives G at the exact rule angles (DCT-III
 on Fejer rules, DCT-I on Chebyshev ones), in place of l recurrence steps
 per node.  Gauss-Legendre node generation is a dense O(n^3) eigenvalue
 solve; it serves the moderate orders of the product grids and the Bessel
-lobe panels, and is the public interval rule.  Adaptive angle-space
-integrals run Fejer rules at every size.
+lobe panels.  Adaptive angle-space integrals run Fejer rules at every
+size.  Every interval rule is a (nodes, weights) pair of arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from scipy.fft import dct as _dct, next_fast_len
 from .specfun import _gegenbauer_evaluator, powers_dot, sphere_surface
 
 __all__ = [
-    "IntervalRule",
     "QuadratureGrid",
     "gauss_legendre",
     "fejer_rule",
@@ -49,29 +48,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntervalRule:
-    """Nodes/weights on [-1, 1] for the plain Lebesgue weight.
-
-    Integrates polynomials exactly (to rounding) up to ``exactness_degree``;
-    the weights sum to 2.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    exactness_degree: int
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
-
-
 def _symmetric(x: np.ndarray, w: np.ndarray):
     """Nodes and weights made exactly +-symmetric (parity arguments use it)."""
     return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
-def gauss_legendre(n: int) -> IntervalRule:
-    """n-point Gauss-Legendre rule on [-1, 1], exactness degree 2n - 1.
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre (nodes, weights) on [-1, 1], exactness degree
+    2n - 1; the weights sum to 2.
 
     Golub-Welsch, step for step as scipy.special.roots_legendre computes it
     (same nodes and weights), except that the eigenvalues come from
@@ -96,11 +80,11 @@ def gauss_legendre(n: int) -> IntervalRule:
     dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)
     x, w = _symmetric(x, 1.0 / (pm * dp))
     w *= 2.0 / w.sum()
-    return IntervalRule(x, w, 2 * n - 1)
+    return x, w
 
 
-def fejer_rule(n: int) -> IntervalRule:
-    """Fejer (first-kind) rule: n interior nodes cos((2j-1) pi / (2n)).
+def fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fejer (first-kind) (nodes, weights): n interior nodes cos((2j-1) pi / (2n)).
 
     Exactness degree n - 1 for the plain weight; the weights come from a
     single length-n DCT-III (O(n log n)), so degrees in the 1e5 range stay
@@ -116,7 +100,7 @@ def fejer_rule(n: int) -> IntervalRule:
     x[2 * m] = -1.0 / (4.0 * m * m - 1.0)
     w = (2.0 / n) * _dct(x, type=3)
     nodes = np.cos((2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n))[::-1]
-    return IntervalRule(*_symmetric(nodes, w[::-1]), n - 1)
+    return _symmetric(nodes, w[::-1])
 
 
 def chebyshev_sqrt_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,8 +132,7 @@ def _weight_rule(d: int, poly_degree: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need d >= 2, got {d}")
     if m % 2 == 0:
         need = poly_degree + m  # weight folded into the integrand
-        rule = fejer_rule(next_fast_len(need + 1))
-        t, w = rule.nodes, rule.weights
+        t, w = fejer_rule(next_fast_len(need + 1))
         if m:
             w = w * (1.0 - t * t) ** (m // 2)
         return t, w
@@ -205,8 +188,8 @@ def _half_angle_integral(f, n: int, rtol: float, n_max: int) -> float:
     """
     prev = None
     while n <= n_max:
-        rule = fejer_rule(n)
-        val = (math.pi / 4.0) * rule.integrate(f((rule.nodes + 1.0) * (math.pi / 4.0)))
+        x, w = fejer_rule(n)
+        val = (math.pi / 4.0) * float(np.dot(w, f((x + 1.0) * (math.pi / 4.0))))
         if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
             return val
         prev = val
@@ -266,7 +249,7 @@ def geodesic(x, y) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature grid on S^2 or S^3, as built by :func:`build_grid`.
 
@@ -277,13 +260,13 @@ class QuadratureGrid:
     closed under the antipodal map with exactly equal weights, and the
     mirrored coordinates are exact IEEE negations).
 
-    The grid keeps its factor rules: ``polar_rules`` holds one (nodes,
-    weights) pair per polar angle, in cos form, and ``n_phi`` the size of
-    the uniform azimuth rule phi_j = 2 pi j / n_phi.  Points run ring by
-    ring, rings in polar multi-index order (last axis fastest) and the
-    azimuth fastest within a ring; every point of a ring carries the same
-    weight.  The first N/2 points are the primary half: i < antipode_index[i]
-    exactly when i < N/2.
+    Points run ring by ring, rings in polar multi-index order (last axis
+    fastest) and the azimuth phi_j = 2 pi j / n_phi fastest within a ring.
+    The grid carries its ring layout: ``ring_nodes`` holds one array of cos
+    nodes per polar axis, whose entry g is ring g's node on that axis, and
+    ``ring_weights[g]`` the weight of every point of ring g.  The first N/2
+    points are the primary half: i < antipode_index[i] exactly when
+    i < N/2.  Grids compare and hash by identity.
     """
 
     d: int
@@ -291,33 +274,26 @@ class QuadratureGrid:
     weights: np.ndarray
     exactness_degree: int
     antipode_index: np.ndarray
-    polar_rules: tuple
+    ring_nodes: tuple
+    ring_weights: np.ndarray
     n_phi: int
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
-    def primary_indices(self) -> np.ndarray:
-        """The first N/2 indices, i < antipode_index[i]: one per antipodal pair."""
-        return np.arange(self.size // 2)
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Fixed-order weighted sum; deterministic for a given grid."""
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
-
 
 # points a grid may have; build_grid refuses larger ones before any rule
 _POINT_BUDGET = 4_000_000
 
 
-def _ring_layout(polar_rules, n_phi: int) -> tuple[list, np.ndarray]:
+def _ring_layout(rules, n_phi: int) -> tuple[list, np.ndarray]:
     """The rings of a product grid, in polar multi-index order (last axis
     fastest): one array of cos nodes per polar axis, whose entry g is ring
     g's node on that axis, and the weight of each point of ring g, the
     product of its polar weights times the azimuth weight 2 pi / n_phi."""
     nodes, weights = [], np.ones(1)
-    for t, w in polar_rules:
+    for t, w in rules:
         nodes = [np.repeat(x, t.size) for x in nodes] + [np.tile(t, weights.size)]
         weights = np.multiply.outer(weights, w).ravel()
     return nodes, weights * (2.0 * math.pi / n_phi)
@@ -353,8 +329,7 @@ def build_grid(d: int, degree: int) -> QuadratureGrid:
             f"grid would need {total} points, over the budget of {_POINT_BUDGET}"
         )
 
-    legendre = gauss_legendre(n_polar)
-    polar = [(legendre.nodes, legendre.weights)]
+    polar = [gauss_legendre(n_polar)]
     if d == 3:  # chi's weight sin(chi) goes first
         polar.insert(0, chebyshev_sqrt_rule(n_polar))
     nodes, ring_weights = _ring_layout(polar, n_phi)
@@ -380,6 +355,7 @@ def build_grid(d: int, degree: int) -> QuadratureGrid:
         weights=np.repeat(ring_weights, n_phi),
         exactness_degree=degree,
         antipode_index=anti,
-        polar_rules=tuple(polar),
+        ring_nodes=tuple(nodes),
+        ring_weights=ring_weights,
         n_phi=n_phi,
     )

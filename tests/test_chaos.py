@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -117,7 +118,7 @@ class TestExactVariance:
     def test_report_fields_and_dict(self):
         rep = exact_variance(2, 6, tol=1e-4)
         assert rep.tol_achieved  # 1e-4 is reachable at this size
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert d["value"] == rep.value
         assert d["q_used"] == rep.q_used
         assert rep.per_q.shape == (rep.q_used,)
@@ -138,6 +139,14 @@ class TestExactVariance:
             for l in (3, 4):
                 with pytest.raises(ValueError, match="d >= 2"):
                     exact_variance(d, l)
+
+    def test_closed_form_rejects_degree_below_one(self):
+        # the l = 0 field is constant, so its first chaos does not vanish and
+        # the arcsine formula, which leaves that chaos out, does not apply
+        for l in (0, -1, -2):
+            for f in (exact_variance, variance_closed_form):
+                with pytest.raises(ValueError, match=f"need l >= 1, got {l}"):
+                    f(2, l)
 
     def test_rejects_bad_tolerance(self):
         for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-8):
@@ -377,12 +386,12 @@ class TestLobeRule:
             edges = np.concatenate([np.linspace(0.0, zeros[0], first_panels + 1), zeros[1:]])
             owner = [0] * first_panels + list(range(1, 30))
             for order in (24, 32):
-                base = gauss_legendre(order)
+                x, w = gauss_legendre(order)
                 nodes, weights, lobe_id = [], [], []
                 for a, b, lobe in zip(edges[:-1], edges[1:], owner):
                     half = 0.5 * (b - a)
-                    nodes.append(a + half * (base.nodes + 1.0))
-                    weights.append(half * base.weights)
+                    nodes.append(a + half * (x + 1.0))
+                    weights.append(half * w)
                     lobe_id.append(np.full(order, lobe))
                 rule = _lobe_rule(d, 30, first_panels, order)
                 assert rule.n_lobes == 30
@@ -459,7 +468,7 @@ class TestConstant:
                 est = constant_estimate(d, method, q_terms=400)
                 assert calls == [shape], (d, method)
                 assert type(est.value) is float and type(est.error_estimate) is float
-                json.dumps(est.to_dict())
+                json.dumps(dataclasses.asdict(est))
             for q in (1, 5):
                 calls.clear()
                 value, err = c_coefficient(d, q, full_output=True)
@@ -494,7 +503,7 @@ class TestConstant:
         assert est.d == 2
         assert est.method == "series"
         assert est.params["q_terms"] == 200
-        doc = est.to_dict()
+        doc = dataclasses.asdict(est)
         assert doc["value"] == est.value
         with pytest.raises(ValueError):
             constant_estimate(2, "nonsense")

@@ -375,6 +375,14 @@ class TestMcClt:
         assert out == ""
         assert "budget" in err
 
+    def test_degree_over_basis_range_exit_2(self, capsys):
+        # refused from the basis range, before the 5,606,442-point grid
+        code, out, err = run(["mc-clt", "--d", "3", "--l", "14", "--n", "10",
+                              "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "d=3 basis supports 0 <= l <= 12" in err
+
     def test_dimension_without_grid_exit_2(self, capsys):
         code, out, err = run(["mc-clt", "--d", "4", "--l", "4", "--n", "10",
                               "--no-timestamp"], capsys)

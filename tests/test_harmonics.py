@@ -8,7 +8,7 @@ from sphdefect.harmonics import (GauntTable, build_basis, circulant_closed,
                                  circulant_sum, cum4_ratio, gaunt_diagonal,
                                  gaunt_table, lemcg_check)
 from sphdefect.specfun import eigenspace_dim, gegenbauer, sphere_surface
-from sphdefect.spherequad import _ring_layout, build_grid, cubic_integral, geodesic
+from sphdefect.spherequad import build_grid, cubic_integral, geodesic
 
 
 def _random_unit(rng, n, dim):
@@ -68,7 +68,7 @@ class TestBasis:
         # evaluate at grid points, plus S^3 points with s1 = 0 and points
         # with x2 = x3 = 0, against the factored values on their rings
         grid = build_grid(d, degree)
-        nodes, _ = _ring_layout(grid.polar_rules, grid.n_phi)
+        nodes = grid.ring_nodes
         extra = [[1.0, -1.0]] if d == 2 else [[1.0, -1.0, 0.6, 0.6], [1.0, 0.3, 1.0, -1.0]]
         nodes = [np.concatenate([t, e]) for t, e in zip(nodes, extra)]
         phi = 2.0 * math.pi * np.arange(grid.n_phi) / grid.n_phi
@@ -124,7 +124,7 @@ class TestGauntTable:
             table = gaunt_table(2, l)
             expected = ((2 * l + 1) / (4.0 * math.pi)) ** 1.5 \
                 * 2.0 * math.pi * cubic_integral(2, l)
-            assert table.value(1, 1, 1) == pytest.approx(expected, rel=1e-12)
+            assert table.coefficients[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_odd_degree_tables_vanish(self):
         # parity: the integrand is odd under the antipodal map
@@ -158,10 +158,6 @@ class TestGauntTable:
             assert back.d == d and back.l == l and back.n == table.n
             assert back.exactness == table.exactness
             assert np.array_equal(back.coefficients, table.coefficients)
-
-    def test_value_one_based_lookup(self):
-        table = gaunt_table(2, 2)
-        assert table.value(1, 2, 2) == table.coefficients[0, 1, 1]
 
     def test_flop_budget_refusal(self):
         with pytest.raises(ValueError, match="budget"):

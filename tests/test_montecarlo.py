@@ -163,9 +163,9 @@ class TestRingSampler:
     def test_grid_has_centre_ring(self):
         # the odd-count cases above really contain a self-antipodal ring
         for d, degree in ((2, 32), (3, 20)):
-            rules = build_grid(d, degree).polar_rules
-            assert math.prod(t.size for t, _ in rules) % 2 == 1
-            assert all(t[t.size // 2] == 0.0 for t, _ in rules)
+            grid = build_grid(d, degree)
+            assert grid.ring_weights.size % 2 == 1
+            assert all(t[t.size // 2] == 0.0 for t in grid.ring_nodes)
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from([(2, 4, 24), (2, 5, 24), (2, 6, 26),
@@ -201,7 +201,7 @@ class TestRingSampler:
         fresh_rings = montecarlo._rings
         monkeypatch.setattr(montecarlo, "_rings",
                             lambda *args: built.append(args) or fresh_rings(*args))
-        monkeypatch.setattr(montecarlo, "_last_rings", None)
+        montecarlo._sample_rings.cache_clear()
         grid, other = build_grid(2, 39), build_grid(2, 39)
         cached = [sample_field(2, 9, grid, rng=stream(SEED, i)).values for i in range(4)]
         assert len(built) == 1
@@ -210,7 +210,7 @@ class TestRingSampler:
         assert len(built) == 3
         fresh = []
         for i in range(4):
-            monkeypatch.setattr(montecarlo, "_last_rings", None)
+            montecarlo._sample_rings.cache_clear()
             fresh.append(sample_field(2, 9, grid, rng=stream(SEED, i)).values)
         assert len(built) == 7
         assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
@@ -363,10 +363,13 @@ class TestCltExperiment:
         with pytest.raises(ValueError, match="realizations"):
             clt_experiment(2, 8, 1)
 
-    def test_dict_export_drops_bulk_data(self):
-        diag = clt_experiment(2, 8, 50, CltConfig(master_seed=1))
-        doc = diag.to_dict()
-        assert "defects" not in doc
-        assert doc["l"] == 8
-        assert doc["n_realizations"] == 50
+    def test_rejects_unsupported_degree_before_any_grid(self, monkeypatch):
+        # (3, 14) would need a grid over the point budget, (2, 100) a
+        # 2M-point one: the basis range refuses both first
+        def no_grid(d, degree):
+            raise AssertionError(f"built a degree-{degree} grid on S^{d}")
 
+        monkeypatch.setattr(montecarlo, "build_grid", no_grid)
+        for d, l, cap in ((3, 14, 12), (2, 100, 64)):
+            with pytest.raises(ValueError, match=f"d={d} basis supports 0 <= l <= {cap}"):
+                clt_experiment(d, l, 10)

@@ -18,33 +18,33 @@ from sphdefect.spherequad import (_ring_layout, _weight_rule, build_grid,
 
 class TestIntervalRules:
     def test_gauss_legendre_polynomial_exactness(self):
-        rule = gauss_legendre(12)  # exact through degree 23
+        nodes, weights = gauss_legendre(12)  # exact through degree 23
         for k in range(0, 24):
             exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert rule.integrate(rule.nodes**k) == pytest.approx(exact, abs=1e-14)
+            assert np.dot(weights, nodes**k) == pytest.approx(exact, abs=1e-14)
 
     def test_gauss_legendre_symmetry(self):
         for n in (7, 8, 33):
-            rule = gauss_legendre(n)
-            assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) == 0.0
-            assert np.max(np.abs(rule.weights - rule.weights[::-1])) == 0.0
-            assert np.sum(rule.weights) == pytest.approx(2.0, rel=1e-15)
+            nodes, weights = gauss_legendre(n)
+            assert np.max(np.abs(nodes + nodes[::-1])) == 0.0
+            assert np.max(np.abs(weights - weights[::-1])) == 0.0
+            assert np.sum(weights) == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24, 160, 401, 700])
     def test_gauss_legendre_matches_scipy_roots(self, n):
         from scipy.special import roots_legendre
 
         nodes, weights = roots_legendre(n)
-        rule = gauss_legendre(n)
-        assert np.max(np.abs(rule.nodes - nodes), initial=0.0) <= 4e-16
-        assert np.max(np.abs(rule.weights - weights), initial=0.0) <= 4e-16
+        x, w = gauss_legendre(n)
+        assert np.max(np.abs(x - nodes), initial=0.0) <= 4e-16
+        assert np.max(np.abs(w - weights), initial=0.0) <= 4e-16
 
     def test_fejer_positive_and_exact(self):
-        rule = fejer_rule(20)
-        assert np.all(rule.weights > 0)
+        nodes, weights = fejer_rule(20)
+        assert np.all(weights > 0)
         for k in range(0, 20):
             exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert rule.integrate(rule.nodes**k) == pytest.approx(exact, abs=1e-13)
+            assert np.dot(weights, nodes**k) == pytest.approx(exact, abs=1e-13)
 
     def test_chebyshev_sqrt_rule(self):
         # integrates f against sqrt(1-t^2) on [-1, 1]
@@ -149,10 +149,10 @@ class TestMoments:
         d, l, k = 2, 400, 1733
         table = gegenbauer_moment_table(d, l, [k])[k]
         n = 694_577
-        rule = fejer_rule(n)
+        _, w = fejer_rule(n)
         h = n // 2
-        w_half = 2.0 * rule.weights[h:]
-        w_half[0] = rule.weights[h]
+        w_half = 2.0 * w[h:]
+        w_half[0] = w[h]
         g = GegenbauerEvaluator(d, l).chebyshev_values(n, 1)[h:]
         other = powers_dot(g, w_half, [k])[k]
         assert other == pytest.approx(table, rel=1e-11, abs=0.0)
@@ -212,7 +212,7 @@ class TestGrid:
                 else:
                     exact = (2.0 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2)
                              * math.gamma(0.5) / math.gamma((a + b + 3) / 2))
-                assert grid.integrate(vals) == pytest.approx(exact, abs=5e-14)
+                assert np.dot(grid.weights, vals) == pytest.approx(exact, abs=5e-14)
 
     def test_gegenbauer_orthogonality_on_grid(self):
         # <G_l, G_k> over the sphere via the zonal product identity
@@ -221,8 +221,8 @@ class TestGrid:
         t = np.clip(grid.points @ base, -1.0, 1.0)
         g4 = gegenbauer(2, 4, t)
         g6 = gegenbauer(2, 6, t)
-        assert grid.integrate(g4 * g6) == pytest.approx(0.0, abs=1e-13)
-        assert grid.integrate(g4 * g4) == pytest.approx(
+        assert np.dot(grid.weights, g4 * g6) == pytest.approx(0.0, abs=1e-13)
+        assert np.dot(grid.weights, g4 * g4) == pytest.approx(
             sphere_surface(2) / eigenspace_dim(2, 4), rel=1e-12)
 
     # degree//2 + 1 nodes per polar axis: an odd count (degree//2 even) puts
@@ -230,6 +230,7 @@ class TestGrid:
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 3]), degree=st.integers(0, 60))
     @example(d=2, degree=32)
+    @example(d=2, degree=11)
     @example(d=3, degree=20)
     @example(d=3, degree=11)
     def test_antipodal_structure_exact(self, d, degree):
@@ -244,13 +245,23 @@ class TestGrid:
         assert np.array_equal(i < anti, i < grid.size // 2)
         assert np.array_equal(grid.points[anti], -grid.points)
         assert np.array_equal(grid.weights[anti], grid.weights)
-        # the ring helper: rings in polar multi-index order (last axis
-        # fastest), equal weights within a ring summing to |S^d|, cos nodes
-        # equal to the grid's polar coordinates ring by ring
-        nodes, ring_weights = _ring_layout(grid.polar_rules, grid.n_phi)
-        mesh = np.meshgrid(*[t for t, _ in grid.polar_rules], indexing="ij")
+        # the ring layout the grid carries is the helper's on the factor
+        # rules: rings in polar multi-index order (last axis fastest), equal
+        # weights within a ring summing to |S^d|, cos nodes equal to the
+        # grid's polar coordinates ring by ring
+        n_polar = max(degree, 1) // 2 + 1
+        rules = [gauss_legendre(n_polar)]
+        if d == 3:
+            rules.insert(0, chebyshev_sqrt_rule(n_polar))
+        nodes, ring_weights = grid.ring_nodes, grid.ring_weights
+        helper_nodes, helper_weights = _ring_layout(rules, grid.n_phi)
+        assert len(nodes) == len(helper_nodes) == d - 1
+        assert all(np.array_equal(t, h) for t, h in zip(nodes, helper_nodes))
+        assert np.array_equal(ring_weights, helper_weights)
+        mesh = np.meshgrid(*[t for t, _ in rules], indexing="ij")
         assert all(np.array_equal(t, m.ravel()) for t, m in zip(nodes, mesh))
         rings = grid.points.reshape(-1, grid.n_phi, d + 1)
+        assert rings.shape[0] == ring_weights.size == n_polar ** (d - 1)
         assert np.array_equal(grid.weights.reshape(rings.shape[:2]),
                               np.repeat(ring_weights[:, None], grid.n_phi, axis=1))
         assert np.sum(grid.weights) == pytest.approx(sphere_surface(d), rel=1e-13)
@@ -265,7 +276,7 @@ class TestGrid:
     @example(d=3, degree=20)
     def test_primary_indices_partition(self, d, degree):
         grid = build_grid(d, degree)
-        primary = grid.primary_indices()
+        primary = np.arange(grid.size // 2)
         assert np.array_equal(primary, np.flatnonzero(np.arange(grid.size) < grid.antipode_index))
         mirrored = grid.antipode_index[primary]
         together = np.sort(np.concatenate([primary, mirrored]))
