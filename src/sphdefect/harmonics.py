@@ -261,8 +261,13 @@ class GauntTable:
 
 def _from_canonical(t: np.ndarray) -> np.ndarray:
     """Every entry gathered from its sorted index triple (reads only
-    i <= j <= k), so the table is exactly symmetric under all 6 permutations."""
-    return t[tuple(np.sort(np.indices(t.shape), axis=0))]
+    i <= j <= k), so the table is exactly symmetric under all 6 permutations.
+    The sorted triple of (a, b, c) is (min, a + b + c - min - max, max): one
+    flat index, taken once."""
+    n = t.shape[0]
+    a, b, c = np.ogrid[:n, :n, :n]
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    return np.take(t, (lo * n + (a + b + c - lo - hi)) * n + hi)
 
 
 def gaunt_table(d: int, l: int) -> GauntTable:

@@ -16,16 +16,27 @@ azimuth rule
 
 with 2l+1 ring coefficients c(g) contracted from the n coefficients by a
 per-ring polar table, and one azimuth table E of shape (2l+1) x n_phi.
+n_phi is even and phi_j + pi = phi_(j + n_phi/2), under which the row of
+azimuthal order k (1, cos k phi, sin k phi) picks up (-1)^k.  So the
+tables keep the first n_phi/2 azimuths, split into the even-k rows and
+the odd-k rows (l+1 and l at even l): with te and to their two sums, a
+ring is te + to on its first half and te - to on its second, for half
+the flops of the full table (the parity split libsharp uses across the
+equator).
 Memory is the tables, O(l n_theta + l n_phi) on S^2 (O(l^2) per ring on
-S^3), plus one output tile of _TILE bytes, whatever the realization count.
+S^3), plus one tile of _TILE bytes, whatever the realization count.
 T is evaluated on the rings holding the primary half of the grid only, a
-tile of realizations x rings at a time, one dgemm (R * rings, 2l+1) @ E
-per tile, and reduced while in cache to per-ring sign counts; the mirror
-half follows by antipodal parity.
+tile of realizations x rings at a time.  The tile is azimuth-major: two
+dgemms of the half tables, (n_phi/2, even rows) and (n_phi/2, odd rows),
+against the ring coefficients of R * rings columns give te and to.  The
+signs of te + to and te - to, taken from comparisons of te with -to and
+to, are summed in cache over the azimuth axis, one long contiguous row
+at a time, to per-ring counts; the mirror half follows by antipodal
+parity.
 The dgemm replaces the real FFT along each ring on purpose: n_phi is not
 FFT-friendly (802 = 2 * 401 at l = 40), and a batched scipy.fft.irfft of
 the 402,000 ring rows of 2000 realizations took 7.5-10.8 s there, where
-the dgemm took 0.75 s (2-core Xeon, OpenBLAS).
+the full-table dgemm took 0.75 s (2-core Xeon, OpenBLAS).
 
 The realization batches run on worker threads, one per core of the
 process's affinity mask.  While they run, the OpenBLAS that numpy calls
@@ -35,10 +46,16 @@ Two workers over a 2-thread BLAS were slower than the plain loop; when no
 OpenBLAS handle is found, or one core is available, the same batch
 function runs in that loop.
 
-Every realization draws from its own counter-derived stream, and its
-defect is a fixed-order sum over its own ring counts, so results are
-bit-identical for a given master seed no matter how the loop is chunked,
-how many workers share it, or in which order they finish.
+Every realization draws from its own counter-derived stream,
+stream(master_seed, i).  A batch derives the Philox keys of all its
+indices at once, by numpy's SeedSequence hash in vectorised uint32
+arithmetic, and resets one Philox to counter 0 under each key: the same
+draws for about 9 us per realization, held under the interpreter lock,
+against about 34 us through stream() (81 normals, 2-core Xeon).  A
+realization's defect is a fixed-order sum over its own ring counts, so
+results are bit-identical for a given master seed no matter how the
+loop is chunked, how many workers share it, or in which order they
+finish.
 """
 
 from __future__ import annotations
@@ -75,9 +92,84 @@ def stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for realization `index` of a master seed.
 
     Philox keyed by the (seed, index) pair: realization i's draws never
-    depend on how many other realizations were sampled before it.
+    depend on how many other realizations were sampled before it.  The
+    master seed must be a non-negative integer.
     """
+    _seed_words(master_seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, index))))
+
+
+def _seed_words(master_seed: int) -> list[int]:
+    """The uint32 words SeedSequence reads from an integer seed, low first."""
+    if not isinstance(master_seed, (int, np.integer)):
+        raise TypeError(f"master_seed must be an integer, got {type(master_seed).__name__}")
+    seed = int(master_seed)
+    if seed < 0:
+        raise ValueError(f"need master_seed >= 0, got {seed}")
+    return [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+
+
+# numpy's SeedSequence hash constants (pool of 4 uint32 words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_chain(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, mul) constants, as uint32 columns, of n successive hash steps."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    consts = np.array(h, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ v >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ r >> np.uint32(16)
+
+
+def _stream_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """Philox keys of stream(master_seed, i) for each index, shape (n, 2).
+
+    SeedSequence((master_seed, i)).generate_state(2, np.uint64) for all i at
+    once: its entropy words (seed words, then index words), hashed into a
+    pool of 4, mixed all-to-all, any word past the fourth mixed into every
+    pool word, then 4 output words.  The hash constants do not depend on
+    the data, so each step is one uint32 operation across the indices.
+    """
+    seed = _seed_words(master_seed)
+    keys = np.empty((indices.size, 2), dtype=np.uint64)
+    wide = indices > _MASK32  # an index of 2 words
+    for high in (False, True):
+        part = wide == high
+        if not part.any():
+            continue
+        index = indices[part]
+        words = np.empty((len(seed) + 1 + high, index.size), dtype=np.uint32)
+        words[:len(seed)] = np.array(seed, dtype=np.uint32)[:, None]
+        words[len(seed)] = index & _MASK32
+        if high:
+            words[-1] = index >> 32
+        xor, mul = _hash_chain(_INIT_A, _MULT_A, 16 + 4 * max(words.shape[0] - 4, 0))
+        pool = np.zeros((4, index.size), dtype=np.uint32)
+        pool[:words.shape[0]] = words[:4]
+        pool = _hash(pool, xor[:4], mul[:4])
+        for src in range(4):
+            dst = [i for i in range(4) if i != src]
+            k = 4 + 3 * src
+            pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mul[k:k + 3]))
+        for k, word in enumerate(words[4:]):
+            pool = _mix(pool, _hash(word, xor[16 + 4 * k:20 + 4 * k], mul[16 + 4 * k:20 + 4 * k]))
+        state = _hash(pool, *_hash_chain(_INIT_B, _MULT_B, 4)).astype(np.uint64)
+        keys[part] = (state[0::2] | state[1::2] << np.uint64(32)).T
+    return keys
 
 
 def nyquist_degree(l: int) -> int:
@@ -117,16 +209,20 @@ class FieldSample:
 class _Rings:
     """The spectral sampler's tables for the primary rings of a product grid.
 
-    polar, azimuth and slot are HarmonicBasis.ring_factors on the G primary
-    rings; pair_weights[g] is the summed weight of a primary point and its
-    antipode (2 w for even l, exactly 0 for odd l); when ``centre`` is set,
-    the last primary ring is its own antipodal image and only its first
-    n_phi/2 points are primary.
+    HarmonicBasis.ring_factors on the G primary rings, split by the parity
+    of the azimuthal order k: polar holds the even-k rows (the first
+    n_even) then the odd-k rows, slot scatters coefficients into that row
+    order, and azimuth_t is (even rows, odd rows) of the azimuth table on
+    the first n_phi/2 azimuths, transposed.  pair_weights[g] is the summed
+    weight of a primary point and its antipode (2 w for even l, exactly 0
+    for odd l); when ``centre`` is set, the last primary ring is its own
+    antipodal image and only its first n_phi/2 points are primary.
     """
 
     sigma: float
     polar: np.ndarray
-    azimuth: np.ndarray
+    n_even: int
+    azimuth_t: tuple[np.ndarray, np.ndarray]
     slot: np.ndarray
     pair_weights: np.ndarray
     centre: bool
@@ -141,56 +237,82 @@ def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
     primary = (n_rings + 1) // 2
     polar, azimuth, slot = basis.ring_factors([t[:primary] for t in grid.ring_nodes],
                                               grid.n_phi)
+    # row m carries order k = (m+1)//2; even-k rows first, odd-k rows after
+    width = 2 * l + 1
+    order = np.argsort((np.arange(width) + 1) // 2 % 2, kind="stable")
+    n_even = l // 2 * 2 + 1
+    row = np.argsort(order)
+    azimuth = azimuth[order, :grid.n_phi // 2]
     w = grid.ring_weights[:primary]
     return _Rings(sigma=math.sqrt(sphere_surface(d) / basis.size),
-                  polar=polar, azimuth=azimuth, slot=slot,
+                  polar=polar[order], n_even=n_even,
+                  azimuth_t=(np.ascontiguousarray(azimuth[:n_even].T),
+                             np.ascontiguousarray(azimuth[n_even:].T)),
+                  slot=slot - slot % width + row[slot % width],
                   pair_weights=w + (-1.0) ** l * w, centre=n_rings % 2 == 1)
 
 
-# Bytes of one output tile of T (realizations x rings x n_phi): the tile
-# and its sign arrays stay in L2 (2 MB per core on the reference box) while
-# they are reduced to ring counts.  Swept with one worker per core over a
-# 1-thread BLAS (2-core Xeon), 256 KB / 512 KB / 1 MB / 2 MB tiles took
-# 1.17 / 1.05 / 0.88 / 0.86 s at l = 40 on S^2 and 0.77 / 0.52 / 0.44 /
-# 0.62 s at l = 4 on S^3: smaller tiles pay per-call overhead, larger ones
-# leave L2.
+# Bytes of one tile's two half-ring products te and to (n_phi/2 azimuths x
+# realizations x rings each): the pair and its sign arrays stay in L2
+# (2 MB per core on the reference box) while they are reduced to ring
+# counts.  Swept on the split, azimuth-major tile with one worker per core
+# over a 1-thread BLAS (2-core Xeon), 256 KB / 512 KB / 1 MB / 2 MB tiles
+# took 1.90 / 1.22 / 0.90 / 0.93 s at l = 40 on S^2 (2000 realizations)
+# and 1.80 / 1.05 / 0.62 / 0.63 s at l = 4 on S^3 (5000): smaller tiles
+# pay per-call overhead, larger ones leave L2.
 _TILE = 1 << 20
 
 
 def _ring_defects(rings: _Rings, a: np.ndarray,
                   values: np.ndarray | None = None) -> np.ndarray:
-    """Defects of the fields with coefficient rows ``a``, ring tile by tile.
+    """Defects of the fields with coefficient rows ``a``, tile by tile.
 
-    Each tile is one dgemm (R * rings, 2l+1) @ azimuth, reduced in cache to
-    per-ring sign counts count(T > 0) - count(T < 0); the defect is the
+    On the uniform azimuth rule phi_j + pi = phi_(j + n_phi/2), where the
+    azimuth row of order k picks up (-1)^k.  So with te and to the sums of
+    the even-k and odd-k rows over the first n_phi/2 azimuths, a ring is
+    T = te + to on its first half and T = te - to on its second.  A tile is
+    two dgemms, azimuth-major: (n_phi/2, n_even) and (n_phi/2, n_odd) half
+    tables times the ring coefficients of realizations x rings columns.
+    Its signs are counted from comparisons, since fl(a + b) > 0 exactly
+    when a > -b under gradual underflow, so T is never formed: the count
+    of a column is the int16 sum over axis 0 of sign(te + to) and, except
+    on a centre ring, sign(te - to); |count| <= n_phi <= 2828 under the
+    grid's 4M-point budget, so int16 cannot overflow.  The defect is the
     fixed-order sum of counts times pair weights, so it depends on neither
     the tiling nor the batch a realization arrives in.  With ``values`` of
     shape (R, grid rings, n_phi), T is also written on the primary rings.
     """
     width, n_l, n_rings = rings.polar.shape
-    n_phi = rings.azimuth.shape[1]
-    half = n_phi // 2
+    even_t, odd_t = rings.azimuth_t
+    half = even_t.shape[0]
     scattered = np.zeros((a.shape[0], n_l * width))
     scattered[:, rings.slot] = a
     coeff = scattered.reshape(-1, n_l, width).transpose(2, 0, 1)
     counts = np.empty((a.shape[0], n_rings))
-    tile_rows = max(1, _TILE // (8 * n_phi))
-    r_step = min(a.shape[0], tile_rows)
-    g_step = max(1, tile_rows // r_step)
+    tile_cols = max(1, _TILE // (16 * half))
+    r_step = min(a.shape[0], tile_cols)
+    g_step = max(1, tile_cols // r_step)
     for r0 in range(0, a.shape[0], r_step):
         r1 = min(r0 + r_step, a.shape[0])
         for g0 in range(0, n_rings, g_step):
             g1 = min(g0 + g_step, n_rings)
-            c = np.matmul(coeff[:, r0:r1], rings.polar[:, :, g0:g1])
-            t = (c.reshape(width, -1).T @ rings.azimuth).reshape(r1 - r0, g1 - g0, n_phi)
-            # sign(T) as int8 views of the two comparisons: several times
-            # cheaper than np.sign on float64, and exact (sign(0) = 0)
-            s = (t > 0.0).view(np.int8) - (t < 0.0).view(np.int8)
-            if rings.centre and g1 == n_rings:
-                s[:, -1, half:] = 0
-            counts[r0:r1, g0:g1] = s.sum(axis=2, dtype=np.int32)
+            c = np.matmul(coeff[:, r0:r1], rings.polar[:, :, g0:g1]).reshape(width, -1)
+            te = even_t @ c[:rings.n_even]
+            to = odd_t @ c[rings.n_even:]
             if values is not None:
-                values[r0:r1, g0:g1] = t
+                ring = (half, r1 - r0, g1 - g0)
+                values[r0:r1, g0:g1, :half] = (te + to).reshape(ring).transpose(1, 2, 0)
+                values[r0:r1, g0:g1, half:] = (te - to).reshape(ring).transpose(1, 2, 0)
+            # sign(te - to), then sign(te + to) against to negated in place,
+            # as int8 views of comparisons: several times cheaper than
+            # np.sign on float64, and exact
+            s = (te > to).view(np.int8) - (te < to).view(np.int8)
+            if rings.centre and g1 == n_rings:
+                s.reshape(half, r1 - r0, -1)[:, :, -1] = 0
+            np.negative(to, out=to)
+            s += (te > to).view(np.int8)
+            s -= (te < to).view(np.int8)
+            counts[r0:r1, g0:g1] = s.sum(axis=0, dtype=np.int16).reshape(r1 - r0, -1)
     return (counts * rings.pair_weights).sum(axis=1)
 
 
@@ -261,6 +383,26 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+_COUNTER_0 = np.zeros(4, dtype=np.uint64)  # the state setter copies it
+
+
+def _draws(master_seed: int, indices: np.ndarray, sigma: float, size: int) -> np.ndarray:
+    """Rows stream(master_seed, i).normal(0, sigma, size), one per index.
+
+    One Philox, reset to counter 0 under each index's key, gives the draws
+    of stream(master_seed, i) without building a SeedSequence per index.
+    """
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    out = np.empty((indices.size, size))
+    for row, key in zip(out, _stream_keys(master_seed, indices)):
+        state["state"] = {"counter": _COUNTER_0, "key": key}
+        bits.state = state
+        row[:] = gen.normal(0.0, sigma, size)
+    return out
+
+
 def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
                       n_realizations: int, start: int = 0) -> np.ndarray:
     """Defects of realizations start .. start + n - 1 of a master seed.
@@ -276,8 +418,8 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
 
     def batch(lo: int) -> None:
         hi = min(lo + _BATCH, n_realizations)
-        a = np.stack([stream(master_seed, start + i).normal(0.0, rings.sigma, rings.slot.size)
-                      for i in range(lo, hi)])
+        indices = np.arange(start + lo, start + hi, dtype=np.uint64)
+        a = _draws(master_seed, indices, rings.sigma, rings.slot.size)
         defects[lo:hi] = _ring_defects(rings, a)
 
     starts = range(0, n_realizations, _BATCH)
@@ -423,7 +565,9 @@ def clt_experiment(d: int, l: int, n_realizations: int,
             f"grid degree {degree} under-resolves l={l}: the sign functional "
             f"needs exactness >= {nyquist_degree(l)} (4l + 20 nodes per great circle)"
         )
-    build_basis(d, l)  # refuses an unsupported (d, l) before the grid is built
+    # refuse a bad seed or an unsupported (d, l) before the grid is built
+    _seed_words(cfg.master_seed)
+    build_basis(d, l)
     defects = _spectral_defects(d, l, build_grid(d, degree), cfg.master_seed,
                                 n_realizations)
     exact = exact_variance(d, l, tol=_VARIANCE_TOL).value

@@ -383,6 +383,13 @@ class TestMcClt:
         assert out == ""
         assert "d=3 basis supports 0 <= l <= 12" in err
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(["mc-clt", "--d", "2", "--l", "4", "--n", "10",
+                              "--seed", "-1", "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "need master_seed >= 0, got -1" in err
+
     def test_dimension_without_grid_exit_2(self, capsys):
         code, out, err = run(["mc-clt", "--d", "4", "--l", "4", "--n", "10",
                               "--no-timestamp"], capsys)

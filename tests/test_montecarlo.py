@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -31,6 +32,56 @@ class TestStreams:
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
         assert not np.array_equal(a1, c)
+
+    # seeds of 1 to 4 words; indices 60..69 cross the batch boundary 64,
+    # and 2^32 - 1, 2^32 cross the index's own word boundary
+    KEY_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100 + 7)
+    KEY_INDICES = np.array([*range(60, 70), 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5],
+                           dtype=np.uint64)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_batch_keys_equal_seed_sequence(self, seed):
+        keys = montecarlo._stream_keys(seed, self.KEY_INDICES)
+        expected = np.array([np.random.SeedSequence((seed, int(i))).generate_state(2, np.uint64)
+                             for i in self.KEY_INDICES])
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, expected)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_reset_generator_draws_equal_stream(self, seed):
+        sigma = 1.7
+        draws = montecarlo._draws(seed, self.KEY_INDICES, sigma, 100)
+        expected = np.array([stream(seed, int(i)).normal(0.0, sigma, 100)
+                             for i in self.KEY_INDICES])
+        assert np.array_equal(draws, expected)
+
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), (-2 ** 70, ValueError),
+                                            (np.int64(-3), ValueError), (1.0, TypeError),
+                                            (np.float64(2.0), TypeError)])
+    def test_keys_refuse_what_seed_sequence_refuses(self, seed, error):
+        with pytest.raises(error):
+            np.random.SeedSequence((seed, 0))
+        with pytest.raises(error):
+            montecarlo._stream_keys(seed, self.KEY_INDICES)
+        with pytest.raises(error):
+            stream(seed, 0)
+
+    @pytest.mark.parametrize("seed", [True, np.uint64(2 ** 64 - 1), np.int8(5)])
+    def test_integer_seeds_of_any_type_accepted(self, seed):
+        keys = montecarlo._stream_keys(seed, self.KEY_INDICES[:2])
+        expected = [np.random.SeedSequence((seed, int(i))).generate_state(2, np.uint64)
+                    for i in self.KEY_INDICES[:2]]
+        assert np.array_equal(keys, expected)
+
+    def test_seed_must_be_an_integer(self):
+        # SeedSequence would also read "7" or (1, 2); a master seed is an int
+        for seed in ("7", (1, 2)):
+            with pytest.raises(TypeError, match="master_seed must be an integer"):
+                stream(seed, 0)
+
+    def test_negative_seed_message(self):
+        with pytest.raises(ValueError, match=r"need master_seed >= 0, got -1$"):
+            stream(-1, 0)
 
     def test_degree_rules(self):
         assert nyquist_degree(20) == 99
@@ -129,6 +180,7 @@ class TestDefects:
         for i in range(40):
             s = sample_field(d, l, grid, rng=stream(SEED, i))
             assert defect_estimate(s) == 0.0
+        assert np.all(_spectral_defects(d, l, grid, SEED, 130) == 0.0)
 
     def test_batched_path_matches_per_sample_path(self):
         # the batched all-realizations kernel must reproduce the one-sample
@@ -158,7 +210,51 @@ class TestRingSampler:
             values = sample_field(d, l, grid, rng=stream(SEED, i)).values
             a = stream(SEED, i).normal(0.0, sigma, basis.size)
             assert np.max(np.abs(values - a @ dense)) <= 1e-12
+            # a few ulps of the dot product's scale sum_m |a_m Y_m(x)|
+            # (at most 54 measured, at (2, 40, 179))
+            scale = np.abs(a) @ np.abs(dense)
+            assert np.all(np.abs(values - a @ dense) <= 64 * np.finfo(float).eps * scale)
             assert np.array_equal(values[grid.antipode_index], (-1.0) ** l * values)
+
+    # rings (R) and half-ring azimuths (n_phi/2): (2, 30) 16 and 16,
+    # (2, 32) 17 and 17, (2, 1) 1 and 2, (3, 20) 121 and 11, (3, 18) 100
+    # and 10, (3, 1) 1 and 2; odd R has a centre ring
+    @pytest.mark.parametrize("d,l,degree", [(2, 6, 30), (2, 7, 32), (2, 3, 1), (2, 40, 179),
+                                            (3, 4, 20), (3, 5, 18), (3, 2, 1)])
+    def test_split_counts_equal_dense_sign_counts(self, d, l, degree):
+        # the parity-split, azimuth-major tile counts sign(T) on every
+        # primary ring as the dense basis values do; one-hot pair weights
+        # read the count of one ring out of the defect
+        grid = build_grid(d, degree)
+        rings = montecarlo._rings(d, l, grid)
+        a = np.random.default_rng(degree).normal(size=(20, rings.slot.size))
+        signs = np.sign(a @ build_basis(d, l).evaluate_on_grid(grid))
+        signs = signs.reshape(a.shape[0], -1, grid.n_phi)
+        n_primary = rings.pair_weights.size
+        if rings.centre:
+            signs[:, n_primary - 1, grid.n_phi // 2:] = 0.0
+        expected = signs[:, :n_primary].sum(axis=2)
+        for tile in (1 << 12, montecarlo._TILE):
+            with mock.patch.object(montecarlo, "_TILE", tile):
+                counts = np.column_stack([
+                    montecarlo._ring_defects(
+                        dataclasses.replace(rings, pair_weights=np.eye(n_primary)[g]), a)
+                    for g in range(n_primary)])
+            assert np.array_equal(counts, expected)
+
+    @pytest.mark.parametrize("d,l,degree", [(2, 6, 32), (3, 4, 20)])
+    def test_split_at_offsets_off_the_batch_grid(self, d, l, degree):
+        # [0, n) = [0, k) + [k, n) for k and start offsets that are not
+        # multiples of the batch size, so batches straddle the cuts
+        grid = build_grid(d, degree)
+        n = 3 * montecarlo._BATCH + 11
+        for start in (0, 37, montecarlo._BATCH + 5):
+            whole = _spectral_defects(d, l, grid, SEED, n, start=start)
+            for k in (1, 45, montecarlo._BATCH + 1, 2 * montecarlo._BATCH + 3):
+                parts = np.concatenate([_spectral_defects(d, l, grid, SEED, k, start=start),
+                                        _spectral_defects(d, l, grid, SEED, n - k,
+                                                          start=start + k)])
+                assert np.array_equal(whole, parts)
 
     def test_grid_has_centre_ring(self):
         # the odd-count cases above really contain a self-antipodal ring
@@ -362,6 +458,14 @@ class TestCltExperiment:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError, match="realizations"):
             clt_experiment(2, 8, 1)
+
+    def test_rejects_negative_seed_before_any_grid(self, monkeypatch):
+        def no_grid(d, degree):
+            raise AssertionError(f"built a degree-{degree} grid on S^{d}")
+
+        monkeypatch.setattr(montecarlo, "build_grid", no_grid)
+        with pytest.raises(ValueError, match=r"need master_seed >= 0, got -1$"):
+            clt_experiment(2, 4, 10, CltConfig(master_seed=-1))
 
     def test_rejects_unsupported_degree_before_any_grid(self, monkeypatch):
         # (3, 14) would need a grid over the point budget, (2, 100) a
