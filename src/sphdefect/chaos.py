@@ -11,12 +11,16 @@ Taylor coefficients of (2/pi) arcsin).  This module computes the weights
 stably to q ~ 1e6, and the variance as a certified bracket: the series to
 order q plus an enclosure of |S^d||S^(d-1)| int_0^pi R_q(G(cos x)) (sin
 x)^(d-1) dx, R_q(g) = (2/pi)(arcsin g - g) - sum_{j<=q} w_j g^(2j+1).  R_q
-has positive Taylor coefficients, so it is odd and increasing: a cell with
-lo <= G <= hi adds between mu R_q(lo) and mu R_q(hi).  On the polar cap x
-<= 1.25/l, G(cos x) = sum_m c_m cos(m x), all c_m > 0 (Szego 4.9.19),
-falls strictly (m x < pi), so cell ends enclose G exactly; beyond, the
-degree-l trig polynomial G(cos x), |G| <= 1, has |G''| <= l^2 (Bernstein;
-Borwein & Erdelyi 1995), so it is within l^2 h^2/8 of its chord.  Also the
+has positive Taylor coefficients, so it is odd and R_q, R_q', R_q'' rise
+on [0, 1): a cell with lo <= G <= hi adds between mu R_q(lo) and mu
+R_q(hi).  On the polar cap x <= 1.25/l, G(cos x) = sum_m c_m cos(m x), all
+c_m > 0 (Szego 4.9.19), falls strictly (m x < pi) with |G'| <= kappa x,
+|G''| <= kappa, kappa = sum m^2 c_m = l(l+d-1)/d.  Next to the pole the
+cell ends enclose G; on the rest of the cap each cell is its midpoint
+value plus a second-derivative remainder (Tucker, Validated Numerics,
+2011), so the cap's width falls as cells^-2.  Beyond, the degree-l trig
+polynomial G(cos x), |G| <= 1, has |G''| <= l^2 (Bernstein; Borwein &
+Erdelyi 1995), so it is within l^2 h^2/8 of its chord.  Also the
 scaled limit constant
 
     C_d = 2 |S^d||S^(d-1)| sum_{q>=1} w_q c_{2q+1;d},
@@ -140,8 +144,9 @@ class VarianceReport:
 # mpmath to 3e-15, and the enclosure rounds far below that.
 _ROUNDING = 2e-12
 _Q_MIN, _Q_MAX = 64, 2048
-# a table order costs ~500 l + 8000 R_q steps at a cap edge (0.8 ns each)
-_TABLE_COST = (500, 8000)
+_CELLS_MIN, _CELLS_MAX = 64, 2 ** 16
+# first-order cells on [0, _POLE / l], where R_q'' grows as G -> 1
+_POLE, _POLE_CELLS = 5e-4, 256
 
 
 def _remainder(g, q: int) -> np.ndarray:
@@ -157,6 +162,29 @@ def _remainder(g, q: int) -> np.ndarray:
     out[small] = gs ** (2 * q + 3) * _horner(w[q:], gs * gs)
     out[~small] = (2.0 / math.pi) * (np.arcsin(gb) - gb) - gb ** 3 * _horner(w[:q], gb * gb)
     return out
+
+
+def _remainder_slopes(g, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R_q'(g), R_q''(g)) for 0 <= g < 1, as :func:`_remainder` evaluates
+    R_q: for g^2 > 1/4 the closed forms (2/pi)((1-g^2)^(-1/2) - 1) and
+    (2/pi) g (1-g^2)^(-3/2) less their partial sums, floored at 0 (both are
+    >= 0 there); below, the positive tails sum_{j>q} (2j+1) w_j g^(2j) and
+    sum_{j>q} 2j (2j+1) w_j g^(2j-1) to 40 terms, whose ratios are at most
+    (5/4) g^2, so short by < 1e-19 relative.
+    """
+    g = np.asarray(g, dtype=float)
+    j = np.arange(1.0, q + 41)
+    c1 = (2.0 * j + 1.0) * chaos_weights_upto(q + 40)  # of g^(2j) in R_q'
+    c2 = 2.0 * j * c1  # of g^(2j-1) in R_q''
+    small = g * g <= 0.25
+    gs, gb = g[small], g[~small]
+    r1, r2 = np.empty_like(g), np.empty_like(g)
+    r1[small] = gs ** (2 * q + 2) * _horner(c1[q:], gs * gs)
+    r2[small] = gs ** (2 * q + 1) * _horner(c2[q:], gs * gs)
+    u = (1.0 - gb) * (1.0 + gb)
+    r1[~small] = (2.0 / math.pi) * (u ** -0.5 - 1.0) - gb * gb * _horner(c1[:q], gb * gb)
+    r2[~small] = (2.0 / math.pi) * gb * u ** -1.5 - gb * _horner(c2[:q], gb * gb)
+    return np.maximum(r1, 0.0), np.maximum(r2, 0.0)
 
 
 def _sin_power_integral(n: int, x: np.ndarray) -> np.ndarray:
@@ -182,46 +210,80 @@ def _sin_power_integral(n: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _midpoint_radius(d: int, l: int, q: int, a: np.ndarray, b: np.ndarray,
+                     g_a: np.ndarray) -> np.ndarray:
+    """Per cap cell [a, b], 0 < a < b <= 1.25/l, with g_a = G(cos a): the
+    radius about R_q(G(cos m)) mu0 that holds int R_q(G(cos x)) (sin
+    x)^(d-1) dx over the cell, mu0 the cell's int (sin x)^(d-1).
+
+    With phi = R_q o G, s = sin^(d-1), midpoint m and width h, the integral
+    is phi(m) mu0 + phi'(m) mu1 + a remainder below (1/2) M2 s(b) h^3/12,
+    |mu1| = |int (x-m)(s(x)-s(m))| <= s'max h^3/12, s'max = (d-1)
+    sin^(d-2)(b).  G = sum_m c_m cos(m x) with c_m >= 0 gives |G'| <= kappa
+    x and |G''| <= kappa, kappa = sum m^2 c_m = l(l+d-1)/d.  On the cap G
+    falls and stays above 1 - kappa x^2/2 > 0.4, and R_q', R_q'' rise on
+    [0, 1), so at G(a) they bound the cell: |phi'| <= R_q' kappa b and
+    |phi''| <= M2 = R_q'' (kappa b)^2 + R_q' kappa.
+    """
+    r1, r2 = _remainder_slopes(g_a, q)
+    kappa = l * (l + d - 1) / d
+    sin_b = np.sin(b)
+    m2 = r2 * (kappa * b) ** 2 + r1 * kappa
+    return (b - a) ** 3 / 12.0 * (0.5 * m2 * sin_b ** (d - 1)
+                                  + r1 * kappa * b * (d - 1) * sin_b ** (d - 2))
+
+
 def _tail_bracket(d: int, l: int, q: int, cells: int) -> tuple[float, float]:
     """[lo, hi] enclosing int_0^pi R_q(G(cos x)) (sin x)^(d-1) dx, even l,
-    as twice [0, pi/2].  The cap [0, X], X = j0 pi/p in [1/l, 1.25/l], has
-    ``cells`` cells, geometric from 1e-2/(l sqrt(q)) but the first from 0 (G
-    from its pole series, R_q once per edge); beyond, width pi/p <= 1/(4l).
+    as twice [0, pi/2].  The cap [0, X], X = j0 pi/p in [1/l, 1.25/l]:
+    _POLE_CELLS equal cells up to _POLE/l, each between R_q at its ends,
+    then ``cells`` geometric cells to X, each its midpoint value +-
+    :func:`_midpoint_radius` (G from its pole series throughout); beyond,
+    width pi/p <= 1/(4l), Bernstein chords.  One R_q call serves all cells.
     """
     ev = _gegenbauer_evaluator(d, l)
     p = 2 * math.ceil(2.0 * math.pi * l)
     j0 = math.ceil(p / (math.pi * l))
     x_out = np.arange(j0, p // 2 + 1) * (math.pi / p)
     g_out = ev.chebyshev_values(p - 1, 2)[::-1][j0 - 1:p // 2]
-    x_cap = np.geomspace(1e-2 / (l * math.sqrt(q)), x_out[0], cells + 1)
-    x_cap[0] = 0.0
+    x_pole = np.linspace(0.0, _POLE / l, _POLE_CELLS + 1)
+    x_mid = np.geomspace(x_pole[-1], x_out[0], cells + 1)
+    edges = np.concatenate((x_pole, x_mid[1:]))  # of every cap cell
+    g_cap = 1.0 - ev.pole_gap(np.concatenate((edges, 0.5 * (x_mid[:-1] + x_mid[1:]))))
     slack = (l * math.pi / p) ** 2 / 8.0
     lo_out = np.maximum(np.minimum(g_out[:-1], g_out[1:]) - slack, -1.0)
     hi_out = np.minimum(np.maximum(g_out[:-1], g_out[1:]) + slack, 1.0)
-    r = _remainder(np.concatenate((1.0 - ev.pole_gap(x_cap), lo_out, hi_out)), q)
-    r_cap, r_lo, r_hi = np.split(r, [cells + 1, cells + 1 + lo_out.size])
-    mu = np.diff(np.concatenate((_sin_power_integral(d - 1, x_cap),
-                                 _sin_power_integral(d - 1, x_out[1:]))))
-    return (2.0 * float(mu @ np.concatenate((r_cap[1:], r_lo))),
-            2.0 * float(mu @ np.concatenate((r_cap[:-1], r_hi))))
+    r = _remainder(np.concatenate((g_cap[:x_pole.size], g_cap[edges.size:], lo_out, hi_out)), q)
+    r_pole, r_mid, r_lo, r_hi = np.split(r, np.cumsum([x_pole.size, cells, lo_out.size]))
+    mu = np.diff(_sin_power_integral(d - 1, edges))
+    mu_pole, mu_mid = mu[:_POLE_CELLS], mu[_POLE_CELLS:]
+    mu_out = np.diff(_sin_power_integral(d - 1, x_out))
+    mid = float(mu_mid @ r_mid)
+    err = float(np.sum(_midpoint_radius(d, l, q, x_mid[:-1], x_mid[1:],
+                                        g_cap[_POLE_CELLS:edges.size - 1])))
+    return (2.0 * (float(mu_pole @ r_pole[1:]) + mid - err + float(mu_out @ r_lo)),
+            2.0 * (float(mu_pole @ r_pole[:-1]) + mid + err + float(mu_out @ r_hi)))
 
 
-def _plan(d: int, l: int, target: float, q_max: int | None) -> tuple[int, int]:
-    """(order, cap cells) for a bracket of relative width ``target``.
+def _plan(d: int, target: float, q_max: int | None) -> tuple[int, int]:
+    """(order, midpoint cells) for a cap enclosure of relative width ``target``.
 
-    Cells of ratio e^eps, eps <= ln(125 sqrt(q))/cells, bracket the
-    remainder T to ~d eps T; T/Var is below the q^(-(3+d)/2) tail of sum
-    w_q c_{2q+1;d} over its first term.  Cells balance the table cost at
-    2 _TABLE_COST/(d-1), fewer if order _Q_MIN needs fewer, more (to 2^16)
-    if _Q_MAX needs more; the order is the least meeting ``target``.
+    Geometric cells of ratio e^eps, eps = ln(1.25/_POLE)/cells, bracket the
+    remainder T to ~0.3 d(d-1) eps^2 T (measured, d = 2..6, the constant
+    within 5% over l and q); T/Var is below the q^(-(3+d)/2) tail of sum
+    w_q c_{2q+1;d} over its first term, about 2.5x high at d = 2.  The
+    model takes d(d-1)/2, so it is met with room.  The table and the cells
+    both cost more as q rises, so the order stays _Q_MIN unless that needs
+    more than _CELLS_MAX cells; then it is the least meeting ``target``.
+    Cells are planned at _Q_MIN, so a pinned order does not change them.
     """
     k_d = _PI_32 * d ** (d / 2.0) * math.gamma(d / 2.0) / 2.0  # w_q c_{2q+1;d} ~ k_d q^-(3+d)/2
 
     def need(q):
-        return (d * math.log(125.0 * math.sqrt(q)) * k_d * float(_sp.zeta((3 + d) / 2.0, q + 1))
-                / (_W1 * c3_closed(d) * target))
-    balance = 2.0 * (_TABLE_COST[0] * l + _TABLE_COST[1]) / (d - 1)
-    cells = int(max(1024, min(need(_Q_MIN), max(balance, min(need(_Q_MAX), 2 ** 16)))))
+        return math.log(1.25 / _POLE) * math.sqrt(
+            d * (d - 1) / 2.0 * k_d * float(_sp.zeta((3 + d) / 2.0, q + 1))
+            / (_W1 * c3_closed(d) * target))
+    cells = min(max(math.ceil(need(_Q_MIN)), _CELLS_MIN), _CELLS_MAX)
     q = _Q_MIN if q_max is None else q_max
     while q_max is None and q < _Q_MAX and need(q) > cells:
         q = min(_Q_MAX, q + q // 4)
@@ -234,9 +296,9 @@ def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) 
     Odd l: exactly 0 (antipodal parity kills every odd moment).  Even l:
     the series to order q from the moment tables plus the enclosure of
     :func:`_tail_bracket`, widened by _ROUNDING (relative) at both ends.
-    q is the cheapest order meeting tol/2 in the asymptotic model of
-    :func:`_plan` (a margin for where it runs low), unless ``q_max`` pins
-    it.  tol_achieved compares the computed width with ``tol``.
+    q and the cap cells are the cheapest meeting tol/5 in the asymptotic
+    model of :func:`_plan`, unless ``q_max`` pins q; the realized width is
+    about 0.12 tol.  tol_achieved compares the computed width with ``tol``.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -249,7 +311,7 @@ def exact_variance(d: int, l: int, tol: float = 1e-8, q_max: int | None = None) 
     if l % 2 == 1:
         return VarianceReport(d, l, 0, 0.0, 0.0, np.zeros(0), tol, True)
     ss = sphere_surface(d) * sphere_surface(d - 1)
-    q, cells = _plan(d, l, max(0.5 * tol - 2.0 * _ROUNDING, _ROUNDING), q_max)
+    q, cells = _plan(d, max(0.2 * tol - 2.0 * _ROUNDING, _ROUNDING), q_max)
     ks = range(3, 2 * q + 2, 2)
     table = gegenbauer_moment_table(d, l, ks)
     per_q = ss * chaos_weights_upto(q) * np.array([table[k] for k in ks])
@@ -266,9 +328,12 @@ def variance_closed_form(d: int, l: int) -> float:
     int_0^(pi/2) (arcsin G - G)(cos x) (sin x)^(d-1) dx  (even l >= 2 only;
     at l = 0 the first chaos, which the formula leaves out, does not vanish).
 
-    Independent of the term-by-term route: the arcsin is evaluated directly
-    under Fejer rules in the angle, doubled until stationary (the integrand
-    is analytic).  Used as a cross-check oracle.
+    Independent of the term-by-term route: the arcsin of G, G by its
+    recurrence, is integrated directly under a Fejer rule in the angle of
+    6l nodes, doubled until the sample's Chebyshev tail resolves it (the
+    integrand is analytic).  Within 3e-14 (l = 100) to 2.5e-11 (l = 2000,
+    the recurrence's rounding) of a 16l-node rule.  Used as a cross-check
+    oracle.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -280,7 +345,7 @@ def variance_closed_form(d: int, l: int) -> float:
         g = np.clip(ev._recurrence(np.cos(x)), -1.0, 1.0)
         return (np.arcsin(g) - g) * np.sin(x) ** (d - 1)
 
-    val = _half_angle_integral(f, max(128, 4 * l), 5e-14, 300_000)
+    val = _half_angle_integral(f, max(128, 6 * l), 1e-12, 300_000)
     return 4.0 / math.pi * sphere_surface(d) * sphere_surface(d - 1) * val
 
 

@@ -383,6 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--output", "-o", default=None)
+    # accepted like every command's; the table has no timestamp line
+    p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(fn=_cmd_gaunt, fmt="csv", no_timestamp=True)
 
     p = sub.add_parser("lemcg", help="Gaunt double-sum identity residuals")

@@ -317,6 +317,9 @@ def _ring_defects(rings: _Rings, a: np.ndarray,
 
 
 _BATCH = 64
+# stream keys per vectorized call: per-call overhead falls off by here, and
+# the call's temporaries (~115 bytes a key) stay near 120 KB for any n
+_KEY_BLOCK = 1024
 
 # thread-count entry points of the OpenBLAS builds numpy ships or links
 _BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -387,16 +390,21 @@ _COUNTER_0 = np.zeros(4, dtype=np.uint64)  # the state setter copies it
 
 
 def _draws(master_seed: int, indices: np.ndarray, sigma: float, size: int) -> np.ndarray:
-    """Rows stream(master_seed, i).normal(0, sigma, size), one per index.
+    """Rows stream(master_seed, i).normal(0, sigma, size), one per index."""
+    return _keyed_draws(_stream_keys(master_seed, indices), sigma, size)
 
-    One Philox, reset to counter 0 under each index's key, gives the draws
-    of stream(master_seed, i) without building a SeedSequence per index.
+
+def _keyed_draws(keys: np.ndarray, sigma: float, size: int) -> np.ndarray:
+    """Rows Generator(Philox(key)).normal(0, sigma, size), one per key.
+
+    One Philox, reset to counter 0 under each key, gives the draws of
+    stream(master_seed, i) for its key without building a SeedSequence.
     """
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     state = bits.state
-    out = np.empty((indices.size, size))
-    for row, key in zip(out, _stream_keys(master_seed, indices)):
+    out = np.empty((keys.shape[0], size))
+    for row, key in zip(out, keys):
         state["state"] = {"counter": _COUNTER_0, "key": key}
         bits.state = state
         row[:] = gen.normal(0.0, sigma, size)
@@ -410,16 +418,20 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     Each realization's coefficient vector comes from its own stream, and
     its defect does not depend on the batch it is evaluated in, so any
     split of an index range gives the same values as the whole range.
-    Batches run on one worker thread per core over a 1-thread BLAS, each
-    writing only its own slice of the result.
+    The stream keys of the whole range are derived before the batches, in
+    vectorized blocks of _KEY_BLOCK, and each batch takes its slice.  Batches run on one worker thread per core
+    over a 1-thread BLAS, each writing only its own slice of the result.
     """
     rings = _rings(d, l, grid)
     defects = np.empty(n_realizations)
+    indices = np.arange(start, start + n_realizations, dtype=np.uint64)
+    keys = np.empty((n_realizations, 2), dtype=np.uint64)
+    for lo in range(0, n_realizations, _KEY_BLOCK):
+        keys[lo:lo + _KEY_BLOCK] = _stream_keys(master_seed, indices[lo:lo + _KEY_BLOCK])
 
     def batch(lo: int) -> None:
         hi = min(lo + _BATCH, n_realizations)
-        indices = np.arange(start + lo, start + hi, dtype=np.uint64)
-        a = _draws(master_seed, indices, rings.sigma, rings.slot.size)
+        a = _keyed_draws(keys[lo:hi], rings.sigma, rings.slot.size)
         defects[lo:hi] = _ring_defects(rings, a)
 
     starts = range(0, n_realizations, _BATCH)

@@ -196,9 +196,9 @@ class GegenbauerEvaluator:
 
 
 def _horner(coef, y: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] y^k, in place on one buffer."""
+    """sum_k coef[k] y^k, in place on one buffer (no steps on no values)."""
     p = np.full_like(y, coef[-1])
-    for c in coef[-2::-1]:
+    for c in coef[-2::-1] if p.size else ():
         p *= y
         p += c
     return p

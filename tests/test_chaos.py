@@ -184,6 +184,86 @@ class TestBracketProperties:
         narrow = exact_variance(d, 2 * half_l, q_max=2 * q)
         assert narrow.tail_bound < exact_variance(d, 2 * half_l, q_max=q).tail_bound
 
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([2, 3, 5]), half_l=st.integers(1, 200), q=st.integers(1, 400),
+           at=st.floats(0.0, 1.0), ratio=st.floats(0.01, 1.0))
+    def test_midpoint_cell_holds_fine_reference(self, d, half_l, q, at, ratio):
+        # a random cap cell [a, b], a log-uniform on [_POLE/l, 0.5/l], b/a - 1
+        # uniform on [0.01, 1]: its midpoint value +- the radius holds a
+        # 16-panel Gauss-Legendre reference
+        from sphdefect import chaos
+        from sphdefect.spherequad import gauss_legendre
+        from sphdefect.specfun import _gegenbauer_evaluator
+
+        l = 2 * half_l
+        ev = _gegenbauer_evaluator(d, l)
+        a = chaos._POLE / l * (0.5 / chaos._POLE) ** at
+        b = a * (1.0 + ratio)
+        cell = np.array([a, b])
+        gap = ev.pole_gap(np.array([a, 0.5 * (a + b)]))
+        mu0 = float(np.diff(chaos._sin_power_integral(d - 1, cell))[0])
+        centre = float(chaos._remainder(1.0 - gap[1:], q)[0]) * mu0
+        radius = float(chaos._midpoint_radius(d, l, q, cell[:1], cell[1:], 1.0 - gap[:1])[0])
+        t, w = gauss_legendre(20)
+        edges = np.linspace(a, b, 17)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (edges[:-1, None] + half * (t + 1.0)).ravel()
+        f = chaos._remainder(1.0 - ev.pole_gap(x), q) * np.sin(x) ** (d - 1)
+        ref = float(np.sum((half * w).ravel() * f))
+        assert radius >= 0.0
+        assert abs(ref - centre) <= radius + 1e-13 * ref
+
+    @pytest.mark.parametrize("q", [8, 256])
+    def test_remainder_slopes_match_mpmath(self, q):
+        import mpmath
+
+        from sphdefect.chaos import _remainder_slopes
+
+        gs = [1e-3, 0.3, 0.5, 0.9, 1.0 - 1e-9]
+        r1, r2 = _remainder_slopes(np.array(gs), q)
+        with mpmath.workdps(60):
+            w = [2 / mpmath.pi * mpmath.binomial(2 * j, j) / (4 ** j * (2 * j + 1))
+                 for j in range(1, q + 400)]
+            for g, got1, got2 in zip(gs, r1, r2):
+                x = mpmath.mpf(g)
+                if g * g <= 0.25:  # positive tails, relative accuracy
+                    ref1 = mpmath.fsum((2 * j + 1) * w[j - 1] * x ** (2 * j)
+                                       for j in range(q + 1, q + 400))
+                    ref2 = mpmath.fsum(2 * j * (2 * j + 1) * w[j - 1] * x ** (2 * j - 1)
+                                       for j in range(q + 1, q + 400))
+                    assert got1 == pytest.approx(float(ref1), rel=1e-13, abs=0.0)
+                    assert got2 == pytest.approx(float(ref2), rel=1e-13, abs=0.0)
+                else:  # difference forms, absolute error of the scale of the terms
+                    u = 1 - x * x
+                    ref1 = 2 / mpmath.pi * (u ** -0.5 - 1) - mpmath.fsum(
+                        (2 * j + 1) * w[j - 1] * x ** (2 * j) for j in range(1, q + 1))
+                    ref2 = 2 / mpmath.pi * x * u ** -1.5 - mpmath.fsum(
+                        2 * j * (2 * j + 1) * w[j - 1] * x ** (2 * j - 1) for j in range(1, q + 1))
+                    scale = float(u ** -1.5)
+                    assert abs(got1 - float(ref1)) <= 8 * q * scale * np.finfo(float).eps
+                    assert abs(got2 - float(ref2)) <= 8 * q * q * scale * np.finfo(float).eps
+                    assert got1 >= 0.0 and got2 >= 0.0
+
+    @pytest.mark.parametrize("d,l", [(2, 20), (2, 40), (2, 100), (3, 50), (5, 30)])
+    def test_closed_form_matches_fine_rule(self, d, l):
+        # the one-sample stop of the oracle against a 16l-node Fejer rule
+        from sphdefect.spherequad import fejer_rule
+        from sphdefect.specfun import _gegenbauer_evaluator
+
+        x, w = fejer_rule(16 * l)
+        theta = (x + 1.0) * (math.pi / 4.0)
+        g = np.clip(_gegenbauer_evaluator(d, l)._recurrence(np.cos(theta)), -1.0, 1.0)
+        ref = (sphere_surface(d) * sphere_surface(d - 1)
+               * float(w @ ((np.arcsin(g) - g) * np.sin(theta) ** (d - 1))))
+        assert variance_closed_form(d, l) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(half_l=st.integers(1, 200))
+    def test_default_tolerance_certifies_at_d2(self, half_l):
+        rep = exact_variance(2, 2 * half_l)
+        assert rep.tol_achieved
+        assert rep.value <= variance_closed_form(2, 2 * half_l) <= rep.value + rep.tail_bound
+
     @pytest.mark.parametrize("q", [8, 256])
     def test_remainder_matches_mpmath(self, q):
         import mpmath

@@ -308,6 +308,17 @@ class TestGaunt:
         assert code == 0
         assert out.splitlines()[0] == "2 2 5 6"
 
+    def test_no_timestamp_accepted_and_changes_nothing(self, capsys):
+        # scripts pass --no-timestamp to every command; the table has no
+        # timestamp line, so the output is the same byte for byte
+        code, plain, plain_err = run(["gaunt", "--d", "2", "--l", "6"], capsys)
+        assert code == 0
+        code, flagged, flagged_err = run(["gaunt", "--d", "2", "--l", "6",
+                                          "--no-timestamp"], capsys)
+        assert code == 0
+        assert flagged == plain and flagged_err == plain_err
+        assert plain == gaunt_table(2, 6).to_text()
+
 
 class TestDiagnostics:
     def test_lemcg_pass_exit_0(self, capsys):
