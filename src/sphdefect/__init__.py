@@ -47,4 +47,4 @@ from .spherequad import (
     geodesic,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

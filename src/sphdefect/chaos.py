@@ -45,9 +45,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
-from .specfun import sphere_surface, _gegenbauer_evaluator, _horner, _kernel
+from .specfun import (_gegenbauer_evaluator, _horner, _kernel, bessel_j, hurwitz_zeta,
+                      sphere_surface)
 from .spherequad import _half_angle_integral, gauss_legendre, gegenbauer_moment_table
 
 __all__ = [
@@ -108,7 +108,7 @@ def weight_tail_estimate(q_from: int) -> float:
     """
     s = 0.0
     for j, coeff in enumerate(_W_ASY):
-        s += coeff * float(_sp.zeta(1.5 + j, q_from + 1))
+        s += coeff * hurwitz_zeta(1.5 + j, q_from + 1)
     return _PI_32 * s
 
 
@@ -281,7 +281,7 @@ def _plan(d: int, target: float, q_max: int | None) -> tuple[int, int]:
 
     def need(q):
         return math.log(1.25 / _POLE) * math.sqrt(
-            d * (d - 1) / 2.0 * k_d * float(_sp.zeta((3 + d) / 2.0, q + 1))
+            d * (d - 1) / 2.0 * k_d * hurwitz_zeta((3 + d) / 2.0, q + 1)
             / (_W1 * c3_closed(d) * target))
     cells = min(max(math.ceil(need(_Q_MIN)), _CELLS_MIN), _CELLS_MAX)
     q = _Q_MIN if q_max is None else q_max
@@ -369,24 +369,19 @@ def c3_closed(d: int) -> float:
 @functools.cache
 def _bessel_zeros(d: int, count: int) -> np.ndarray:
     """The first ``count`` positive zeros of J_{d/2-1}, increasing (read-only)."""
-    nu = d / 2.0 - 1.0
-    if d == 3:
-        zeros = math.pi * np.arange(1, count + 1)
-    elif nu == int(nu):
-        zeros = _sp.jn_zeros(int(nu), count)
-    else:
-        zeros = _half_integer_zeros(nu, count)
+    zeros = math.pi * np.arange(1.0, count + 1) if d == 3 else _zeros(d / 2.0 - 1.0, count)
     zeros.flags.writeable = False
     return zeros
 
 
-def _half_integer_zeros(nu: float, count: int) -> np.ndarray:
-    """The first ``count`` positive zeros of J_nu, half-integer nu >= 3/2.
+def _zeros(nu: float, count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of J_nu, nu in {0, 1/2, 1, ...}.
 
-    Consecutive zeros are more than pi apart and j_{nu,1} > nu, so a scan
-    from nu in steps of pi/2 puts each zero alone in a cell where J_nu
-    changes sign.  (McMahon guesses alone are too far off for the first
-    zeros at large order.)
+    Consecutive zeros are more than pi/2 apart at every nu >= 0 (their gaps
+    tend to pi from below at nu < 1/2 and from above at nu > 1/2) and
+    j_{nu,1} > nu, so a scan from nu in steps of pi/2 puts each zero alone
+    in a cell where J_nu changes sign.  (McMahon guesses alone are too far
+    off for the first zeros at large order.)
     """
     k = np.arange(1, count + 1)
     beta = (k + nu / 2.0 - 0.25) * math.pi
@@ -394,21 +389,21 @@ def _half_integer_zeros(nu: float, count: int) -> np.ndarray:
     end = guess[-1] + math.pi
     while True:
         x = nu + 0.5 * math.pi * np.arange(math.ceil((end - nu) / (0.5 * math.pi)) + 1)
-        positive = _sp.jv(nu, x) > 0.0
+        positive = bessel_j(nu, x) > 0.0
         cells = np.flatnonzero(positive[:-1] != positive[1:])
         if cells.size >= count:
             break
         end += (count - cells.size) * math.pi
     cells = cells[:count]
     lo, hi, lo_positive = x[cells], x[cells + 1], positive[cells]
-    # Newton from the McMahon guess, with J' = J_{nu-1} - (nu/x) J_nu;
+    # Newton from the McMahon guess, with J' = (nu/x) J_nu - J_{nu+1};
     # a step that leaves the shrinking bracket is replaced by bisection
     z = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     for _ in range(100):
-        f = _sp.jv(nu, z)
+        f = bessel_j(nu, z)
         left = (f > 0.0) == lo_positive
         lo, hi = np.where(left, z, lo), np.where(left, hi, z)
-        new = z - f / (_sp.jv(nu - 1.0, z) - nu / z * f)
+        new = z - f / (nu / z * f - bessel_j(nu + 1.0, z))
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         done = np.abs(new - z) <= 4.0 * np.finfo(float).eps * z
         z = new
@@ -581,9 +576,9 @@ def constant_estimate(d: int, method: str = "series",
         w = chaos_weights_upto(q_terms)
         partial = float(np.dot(w, values))
         k_d = _PI_32 * d ** (d / 2.0) * math.gamma(d / 2.0) / 2.0
-        tail = k_d * (float(_sp.zeta((3 + d) / 2.0, q_terms + 1))
-                      - (5.0 + 3.0 * d) / 8.0 * float(_sp.zeta((5 + d) / 2.0, q_terms + 1)))
-        tail_err = 3.0 * k_d * float(_sp.zeta((7 + d) / 2.0, q_terms + 1))
+        tail = k_d * (hurwitz_zeta((3 + d) / 2.0, q_terms + 1)
+                      - (5.0 + 3.0 * d) / 8.0 * hurwitz_zeta((5 + d) / 2.0, q_terms + 1))
+        tail_err = 3.0 * k_d * hurwitz_zeta((7 + d) / 2.0, q_terms + 1)
         quad_err = float(np.dot(w, errors))
         value = 2.0 * ss * (partial + tail)
         # truncation estimate plus a machine-rounding allowance on the sum

@@ -68,11 +68,10 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .chaos import exact_variance
 from .harmonics import build_basis
-from .specfun import sphere_surface
+from .specfun import ndtr, ndtri, sphere_surface
 from .spherequad import QuadratureGrid, build_grid
 
 __all__ = [
@@ -387,11 +386,6 @@ def _cores() -> int:
 
 
 _COUNTER_0 = np.zeros(4, dtype=np.uint64)  # the state setter copies it
-
-
-def _draws(master_seed: int, indices: np.ndarray, sigma: float, size: int) -> np.ndarray:
-    """Rows stream(master_seed, i).normal(0, sigma, size), one per index."""
-    return _keyed_draws(_stream_keys(master_seed, indices), sigma, size)
 
 
 def _keyed_draws(keys: np.ndarray, sigma: float, size: int) -> np.ndarray:

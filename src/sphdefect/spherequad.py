@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
-from scipy.fft import dct as _dct, next_fast_len
 
-from .specfun import _gegenbauer_evaluator, powers_dot, sphere_surface
+from .specfun import (_cephes_beta, _gegenbauer_evaluator, dct, next_fast_len, powers_dot,
+                      sphere_surface)
 
 __all__ = [
     "QuadratureGrid",
@@ -53,28 +52,69 @@ def _symmetric(x: np.ndarray, w: np.ndarray):
     return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
+def _legendre(n: int, x: np.ndarray) -> np.ndarray:
+    """P_n(x), operation for operation as scipy.special.eval_legendre.
+
+    For |x| >= 1e-5 the recurrence in the differences d_k = P_k - P_(k-1),
+    d_(k+1) = ((2k+1)/(k+1)) (x-1) P_k + (k/(k+1)) d_k.  It loses relative
+    accuracy as x -> 0, so below (the centre node of odd n), the power
+    series from its lowest term, :func:`_legendre_near_zero`.
+    """
+    if n < 2:
+        return np.ones_like(x) if n == 0 else x.copy()
+    p = x.copy()
+    d = x - 1.0
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p += d
+    small = np.flatnonzero(np.abs(x) < 1e-5)
+    p[small] = [_legendre_near_zero(n, float(x[i])) for i in small]
+    return p
+
+
+def _legendre_near_zero(n: int, x: float) -> float:
+    """P_n(x) by its power series in x from the lowest power x^(n - 2a),
+    a = n // 2, whose coefficient is (-1)^a (-2)/B(a+1, -1/2) at even n and
+    (-1)^a 2/B(a+1, 1/2) at odd n (both (2a + n%2)! / (2^(2a) a! a!) up to
+    sign), each term the last times -2 x^2 k (2n - 2k + 1) /
+    ((n - 2k + 1)(n - 2k + 2))."""
+    a = n // 2
+    sign = -1.0 if a % 2 else 1.0
+    if n % 2:
+        d = sign * ((x + x) / _cephes_beta(a + 1.0, 0.5))
+    else:
+        d = sign * (-2.0 / _cephes_beta(a + 1.0, -0.5))
+    step = (x * x) * -2.0
+    p = 0.0
+    for k in range(a, -1, -1):
+        p += d
+        d *= k * step * (2 * n + 1 - 2 * k) / float((n - 2 * k + 1) * (n - 2 * k + 2))
+        if abs(d) < 1e-20 * abs(p):
+            break
+    return p
+
+
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre (nodes, weights) on [-1, 1], exactness degree
     2n - 1; the weights sum to 2.
 
-    Golub-Welsch, step for step as scipy.special.roots_legendre computes it
-    (same nodes and weights), except that the eigenvalues come from
-    numpy.linalg.eigvalsh: scipy's version imports scipy.linalg on its
-    first call.  Nodes and weights are exactly +-symmetric (used for parity
-    arguments).
+    Golub-Welsch with numpy.linalg.eigvalsh, then one Newton step on P_n
+    and the weights from P_(n-1) and P_n', step for step as
+    scipy.special.roots_legendre takes them, with P_n from
+    :func:`_legendre`.  Nodes and weights are exactly +-symmetric (used
+    for parity arguments).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     k = np.arange(1.0, n)
     b = k * np.sqrt(1.0 / (4 * k * k - 1))
     x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    p = _sp.eval_legendre
     # one Newton step on P_n, P_n' = n (P_{n-1} - x P_n) / (1 - x^2), then
     # w = 1/(P_{n-1} P_n') with both factors scaled to the middle of their
     # log range
-    dp = (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)
-    x -= p(n, x) / dp
-    pm = p(n - 1, x)
+    dp = (-n * x * _legendre(n, x) + n * _legendre(n - 1, x)) / (1 - x ** 2)
+    x -= _legendre(n, x) / dp
+    pm = _legendre(n - 1, x)
     log_pm, log_dp = np.log(np.abs(pm)), np.log(np.abs(dp))
     pm /= np.exp((log_pm.max() + log_pm.min()) / 2.)
     dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)
@@ -98,7 +138,7 @@ def fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x[0] = 1.0
     m = np.arange(1, (n - 1) // 2 + 1)
     x[2 * m] = -1.0 / (4.0 * m * m - 1.0)
-    w = (2.0 / n) * _dct(x, type=3)
+    w = (2.0 / n) * dct(x, 3)
     nodes = np.cos((2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n))[::-1]
     return _symmetric(nodes, w[::-1])
 
@@ -197,7 +237,7 @@ def _half_angle_integral(f, n: int, rtol: float, n_max: int) -> float:
         val = float(np.dot(w, fx))
         m = max(n // 32, 1)
         k = np.arange(n - m, n, dtype=float)
-        tail = 16.0 / n * float(np.sum(np.abs(_dct(fx, type=2)[-m:]) / (k * k)))
+        tail = 16.0 / n * float(np.sum(np.abs(dct(fx, 2)[-m:]) / (k * k)))
         if tail <= rtol * abs(val) or 2 * n > n_max:
             return (math.pi / 4.0) * val
         n *= 2

@@ -1,10 +1,10 @@
 """Import guards.
 
-Cold start: the package imports and its common paths run without loading
-scipy.stats, scipy.optimize or scipy.linalg.  Those three cost about 0.6 s
-of import time together, so every fresh ``sphdefect`` process would pay
-them before doing any work.  The sampler's thread pool and OpenBLAS handle
-are likewise set up on its first call, not at import.
+Cold start: the package imports, and every path that uses one of its own
+special functions runs, without loading any SciPy module.  SciPy's import
+cost about 0.38 s, so every fresh ``sphdefect`` process paid it before
+doing any work.  The sampler's thread pool and OpenBLAS handle are set up
+on its first call, not at import.
 
 Stale exports: every name a module lists in ``__all__`` exists on it, so a
 deletion that misses its export fails here.
@@ -28,19 +28,25 @@ _PROBE = """
 import sys
 import sphdefect
 import sphdefect.cli
-from sphdefect import build_grid, clt_experiment, constant_estimate, montecarlo
+from sphdefect import (build_grid, c_coefficient, clt_experiment, constant_estimate,
+                       exact_variance, gaunt_table, montecarlo, variance_closed_form)
 print("concurrent.futures" in sys.modules, montecarlo._openblas.cache_info().currsize)
+exact_variance(2, 40)
+variance_closed_form(2, 40)
+for d in (2, 4, 5):
+    for method in ("series", "integral"):
+        constant_estimate(d, method, q_terms=20, n_lobes=10)
+c_coefficient(2, 3)
+gaunt_table(2, 4)
 clt_experiment(3, 4, 20)
-constant_estimate(5, "integral", n_lobes=10)
 build_grid(3, 20)
-print(",".join(m for m in ("scipy.stats", "scipy.optimize", "scipy.linalg")
-               if m in sys.modules))
+print(",".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 # what the package's own third-party imports load on their own
 _DEPENDENCY_PROBE = """
 import sys
-import numpy, scipy.fft, scipy.special
+import numpy
 print("concurrent.futures" in sys.modules)
 """
 
@@ -54,14 +60,14 @@ def _probe(code: str) -> tuple:
     return tuple(out.splitlines())
 
 
-def test_heavy_scipy_modules_stay_unloaded():
+def test_scipy_stays_unloaded():
     assert _probe(_PROBE)[1].strip() == ""
 
 
 def test_sampler_threads_load_lazily():
     # the worker pool and the OpenBLAS handle are set up on the first
     # sampler call, not at import; concurrent.futures is loaded by import
-    # only where numpy and scipy already load it themselves
+    # only where numpy already loads it itself
     futures_loaded, handles = _probe(_PROBE)[0].split()
     assert handles == "0"
     if futures_loaded == "True":

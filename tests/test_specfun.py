@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 from scipy import special as sp
 
-from sphdefect.specfun import (GegenbauerEvaluator, ScaledBesselKernel,
-                               eigenspace_dim, gegenbauer, scaled_bessel,
-                               sphere_surface)
+from sphdefect.specfun import (GegenbauerEvaluator, ScaledBesselKernel, bessel_j, dct,
+                               eigenspace_dim, gegenbauer, hurwitz_zeta, ndtr, ndtri,
+                               next_fast_len, scaled_bessel, sphere_surface)
 from sphdefect.specfun import _BLOCK, powers_dot
 
 
@@ -246,3 +246,96 @@ class TestScaledBessel:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             scaled_bessel(2, -0.1)
+
+
+class TestBesselJ:
+    """bessel_j against mpmath: power series, Miller's recurrence and
+    Hankel's expansion, and the seams between them."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 29.5])
+    def test_matches_mpmath_on_0_250(self, nu):
+        import mpmath
+
+        rng = np.random.default_rng(int(2 * nu))
+        x = np.concatenate([np.linspace(0.0, 250.0, 501), rng.uniform(0.0, 250.0, 300),
+                            [1e-3, 1.999999, 2.0, 18.99999, 19.0, 153.9999, 154.0]])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x])
+        assert np.max(np.abs(bessel_j(nu, x) - ref)) <= 1e-15
+
+    def test_refuses_other_orders(self):
+        for nu in (-0.5, 0.25, 1.1):
+            with pytest.raises(ValueError):
+                bessel_j(nu, np.ones(2))
+
+
+class TestNormal:
+    """ndtr and ndtri equal SciPy's to the bit (the KS and W1 statistics
+    rest on it)."""
+
+    def test_ndtr_equals_scipy(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([3.0 * rng.standard_normal(60_000), rng.uniform(-40.0, 40.0, 40_000),
+                            0.5 * rng.standard_normal(20_000),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, 38.0, -38.0, 38.5, -39.0, 1e300,
+                             -1e300, 1.0, -1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)]])
+        np.testing.assert_array_equal(ndtr(x), sp.ndtr(x))
+
+    def test_ndtri_equals_scipy(self):
+        rng = np.random.default_rng(12)
+        u = np.concatenate([rng.uniform(0.0, 1.0, 60_000), 10.0 ** rng.uniform(-300.0, 0.0, 30_000),
+                            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
+                            [0.0, 1.0, 1e-300, 5e-324, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0),
+                             -0.1, 1.1, np.nan]])
+        np.testing.assert_array_equal(ndtri(u), sp.ndtri(u))
+
+    @pytest.mark.parametrize("n", [2, 7, 2000, 100_000])
+    def test_ndtri_on_quantile_grids(self, n):
+        u = (np.arange(1, n + 1) - 0.5) / n
+        np.testing.assert_array_equal(ndtri(u), sp.ndtri(u))
+
+
+class TestFastTransforms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 63, 64, 101, 600, 1001, 12000, 12001])
+    @pytest.mark.parametrize("kind", [1, 2, 3])
+    def test_dct_matches_scipy(self, n, kind):
+        from scipy.fft import dct as scipy_dct
+
+        if kind == 1 and n < 2:
+            return
+        x = np.random.default_rng(n).standard_normal(n)
+        ref = scipy_dct(x, type=kind)
+        assert np.max(np.abs(dct(x, kind) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_dct_refuses_other_types(self):
+        with pytest.raises(ValueError):
+            dct(np.ones(4), 4)
+
+    def test_next_fast_len_equals_scipy(self):
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        for real in (False, True):
+            got = [next_fast_len(n, real) for n in range(1, 10_001)]
+            assert got == [scipy_next_fast_len(n, real=real) for n in range(1, 10_001)]
+
+
+class TestHurwitzZeta:
+    def test_matches_mpmath_where_used(self):
+        # weight_tail_estimate: s = 3/2..9/2; _plan and the constant's tail:
+        # s = (3+d)/2, (5+d)/2, (7+d)/2; a = q + 1 from 2 to past 1e5
+        import mpmath
+
+        s_all = sorted({1.5, 2.5, 3.5, 4.5} | {(k + d) / 2.0 for k in (3, 5, 7) for d in range(2, 9)})
+        a_all = [2.0, 3.0, 5.0, 9.0, 10.0, 17.0, 65.0, 101.0, 401.0, 2049.0, 1e4 + 1, 1e5 + 1, 7.3]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for s in s_all:
+                for a in a_all:
+                    ref = mpmath.zeta(s, a)
+                    worst = max(worst, float(abs(hurwitz_zeta(s, a) - ref) / ref))
+        assert worst <= 2e-15
+
+    def test_refuses_outside_domain(self):
+        for s, a in ((1.0, 2.0), (0.5, 2.0), (2.0, 0.0)):
+            with pytest.raises(ValueError):
+                hurwitz_zeta(s, a)

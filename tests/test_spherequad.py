@@ -39,6 +39,17 @@ class TestIntervalRules:
         assert np.max(np.abs(x - nodes), initial=0.0) <= 4e-16
         assert np.max(np.abs(w - weights), initial=0.0) <= 4e-16
 
+    def test_legendre_equals_scipy_eval_legendre(self):
+        # the recurrence for |x| >= 1e-5 and the power series below it,
+        # both to the bit; the centre node of odd n takes the series
+        from scipy.special import eval_legendre
+
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 2000), rng.uniform(-1e-5, 1e-5, 200),
+                            [0.0, -0.0, 1e-17, -2.3e-16, 9.999e-6, 1e-5, -1e-5, 1.0, -1.0]])
+        for n in [*range(0, 40), 159, 160, 341, 342, 399, 400, 401, 700, 701, 1500]:
+            np.testing.assert_array_equal(spherequad._legendre(n, x), eval_legendre(n, x))
+
     def test_fejer_positive_and_exact(self):
         nodes, weights = fejer_rule(20)
         assert np.all(weights > 0)
