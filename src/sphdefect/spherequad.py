@@ -52,24 +52,31 @@ def _symmetric(x: np.ndarray, w: np.ndarray):
     return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
-def _legendre(n: int, x: np.ndarray) -> np.ndarray:
-    """P_n(x), operation for operation as scipy.special.eval_legendre.
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_(n-1)(x), P_n(x)) for n >= 1, operation for operation as
+    scipy.special.eval_legendre computes each.
 
     For |x| >= 1e-5 the recurrence in the differences d_k = P_k - P_(k-1),
-    d_(k+1) = ((2k+1)/(k+1)) (x-1) P_k + (k/(k+1)) d_k.  It loses relative
-    accuracy as x -> 0, so below (the centre node of odd n), the power
-    series from its lowest term, :func:`_legendre_near_zero`.
+    d_(k+1) = ((2k+1)/(k+1)) (x-1) P_k + (k/(k+1)) d_k, whose steps for
+    P_(n-1) are the first ones for P_n.  It loses relative accuracy as
+    x -> 0, so below (the centre node of odd n), the power series from its
+    lowest term, :func:`_legendre_near_zero`.
     """
-    if n < 2:
-        return np.ones_like(x) if n == 0 else x.copy()
-    p = x.copy()
-    d = x - 1.0
+    x_1 = x - 1.0
+    prev, p, d, t = np.ones_like(x), x.copy(), x_1.copy(), np.empty_like(x)
     for k in range(1, n):
-        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        np.multiply((2 * k + 1) / (k + 1), x_1, out=t)
+        t *= p
+        d *= k / (k + 1)
+        d += t
+        if k == n - 1:
+            prev = p.copy()
         p += d
     small = np.flatnonzero(np.abs(x) < 1e-5)
-    p[small] = [_legendre_near_zero(n, float(x[i])) for i in small]
-    return p
+    for m, values in ((n - 1, prev), (n, p)):
+        if m >= 2:
+            values[small] = [_legendre_near_zero(m, float(x[i])) for i in small]
+    return prev, p
 
 
 def _legendre_near_zero(n: int, x: float) -> float:
@@ -112,9 +119,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     # one Newton step on P_n, P_n' = n (P_{n-1} - x P_n) / (1 - x^2), then
     # w = 1/(P_{n-1} P_n') with both factors scaled to the middle of their
     # log range
-    dp = (-n * x * _legendre(n, x) + n * _legendre(n - 1, x)) / (1 - x ** 2)
-    x -= _legendre(n, x) / dp
-    pm = _legendre(n - 1, x)
+    pm, pn = _legendre(n, x)
+    dp = (-n * x * pn + n * pm) / (1 - x ** 2)
+    x -= pn / dp
+    pm = _legendre(n, x)[0]
     log_pm, log_dp = np.log(np.abs(pm)), np.log(np.abs(dp))
     pm /= np.exp((log_pm.max() + log_pm.min()) / 2.)
     dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)

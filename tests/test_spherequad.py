@@ -47,8 +47,10 @@ class TestIntervalRules:
         rng = np.random.default_rng(5)
         x = np.concatenate([rng.uniform(-1.0, 1.0, 2000), rng.uniform(-1e-5, 1e-5, 200),
                             [0.0, -0.0, 1e-17, -2.3e-16, 9.999e-6, 1e-5, -1e-5, 1.0, -1.0]])
-        for n in [*range(0, 40), 159, 160, 341, 342, 399, 400, 401, 700, 701, 1500]:
-            np.testing.assert_array_equal(spherequad._legendre(n, x), eval_legendre(n, x))
+        for n in [*range(1, 40), 159, 160, 341, 342, 399, 400, 401, 700, 701, 1500]:
+            prev, p = spherequad._legendre(n, x)
+            np.testing.assert_array_equal(prev, eval_legendre(n - 1, x))
+            np.testing.assert_array_equal(p, eval_legendre(n, x))
 
     def test_fejer_positive_and_exact(self):
         nodes, weights = fejer_rule(20)
