@@ -506,8 +506,8 @@ def _ks_normal(z: np.ndarray) -> float:
 
     The supremum sits at a sorted sample point z_(i), just after the jump
     (i/N - Phi) or just before it (Phi - (i-1)/N).  These are the
-    operations of SciPy's two-sided kstest(z, "norm"), so the value is the
-    same to the bit.
+    operations of SciPy's two-sided kstest(z, "norm"), and specfun.ndtr is
+    scipy.special.ndtr to the bit, so the value is the same to the bit.
     """
     c = ndtr(np.sort(z))
     n = c.size

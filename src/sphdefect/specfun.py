@@ -100,14 +100,20 @@ def next_fast_len(target: int, real: bool = False) -> int:
     return min(m << ((target - 1) // m).bit_length() for m in odd)
 
 
-def _twiddles(n: int) -> np.ndarray:
-    """exp(-i pi k/(2n)) for k = 0..n//2, as the outer product of a coarse
-    and a fine table of about sqrt(n/2) entries each."""
+@functools.lru_cache(maxsize=8)
+def _twiddles(n: int, type: int) -> np.ndarray:
+    """2 w^k (type 2) or n w^-k (type 3) for k = 0..n//2, w = exp(-i pi/(2n)),
+    read-only; w^k is the outer product of a coarse and a fine table of
+    about sqrt(n/2) entries each.  Cached, since a moment table takes its
+    weights and its values from DCTs of one length."""
     h = n // 2
     step = math.isqrt(h) + 1
     angle = -0.5 * math.pi / n
     coarse = np.exp(1j * angle * step * np.arange(h // step + 1))
-    return np.multiply.outer(coarse, np.exp(1j * angle * np.arange(step))).ravel()[:h + 1]
+    w = np.multiply.outer(coarse, np.exp(1j * angle * np.arange(step))).ravel()[:h + 1]
+    w = 2.0 * w if type == 2 else n * np.conj(w)
+    w.flags.writeable = False
+    return w
 
 
 def dct(x, type: int) -> np.ndarray:
@@ -130,15 +136,20 @@ def dct(x, type: int) -> np.ndarray:
         return np.fft.rfft(np.concatenate((x, x[-2:0:-1]))).real
     h = n // 2
     if type == 2:
-        z = 2.0 * _twiddles(n) * np.fft.rfft(np.concatenate((x[::2], x[1::2][::-1])))
+        z = np.fft.rfft(np.concatenate((x[::2], x[1::2][::-1])))
+        z *= _twiddles(n, 2)
         y = np.empty(n)
         y[:h + 1] = z.real
         y[:h:-1] = -z.imag[1:(n + 1) // 2]
         return y
     if type == 3:
         # V_k = n w^-k (x_k - i x_(n-k)), x_n = 0
-        back = np.concatenate(([0.0], x[:n - h - 1:-1]))
-        v = np.fft.irfft(n * np.conj(_twiddles(n)) * (x[:h + 1] - 1j * back), n)
+        spectrum = np.empty(h + 1, dtype=complex)
+        spectrum.real = x[:h + 1]
+        spectrum.imag[0] = 0.0
+        np.negative(x[:n - h - 1:-1], out=spectrum.imag[1:])
+        spectrum *= _twiddles(n, 3)
+        v = np.fft.irfft(spectrum, n)
         y = np.empty(n)
         y[::2] = v[:n - h]
         y[1::2] = v[:n - h - 1:-1]
