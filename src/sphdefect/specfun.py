@@ -649,7 +649,8 @@ def ndtri(y0) -> np.ndarray:
     x = np.empty_like(y)
     c = y[centre] - 0.5
     c2 = c * c
-    x[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0, monic=True))) * _S2PI
+    ratio = c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0, monic=True)
+    x[centre] = (c + c * ratio) * _S2PI
     r = np.sqrt(-2.0 * _per_element(math.log, y[~centre]))
     r0 = r - _per_element(math.log, r) / r
     z = 1.0 / r

@@ -16,10 +16,12 @@ lam = (d-1)/2,
     G_{l;d}(cos x) = sum_{k=0}^{l} c_k cos((l-2k) x),
     c_k proportional to (lam)_k (lam)_{l-k} / (k! (l-k)!),  sum_k c_k = 1,
 
-so one DCT of the coefficients gives G at the exact rule angles (DCT-III
-on Fejer rules, DCT-I on Chebyshev ones), in place of l recurrence steps
-per node.  Gauss-Legendre node generation is a dense O(n^3) eigenvalue
-solve; it serves the moderate orders of the product grids and the Bessel
+so one DCT of the coefficients (specfun.dct, on numpy's real FFT) gives G
+at the exact rule angles (DCT-III on Fejer rules, DCT-I on Chebyshev ones),
+in place of l recurrence steps per node.  Gauss-Legendre node generation
+is a dense O(n^3) eigenvalue solve plus the Newton step of
+scipy.special.roots_legendre, whose nodes and weights it reproduces to the
+bit; it serves the moderate orders of the product grids and the Bessel
 lobe panels.  Adaptive angle-space integrals run Fejer rules at every
 size.  Every interval rule is a (nodes, weights) pair of arrays.
 """

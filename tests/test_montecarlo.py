@@ -50,7 +50,8 @@ class TestStreams:
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     def test_reset_generator_draws_equal_stream(self, seed):
         sigma = 1.7
-        draws = montecarlo._keyed_draws(montecarlo._stream_keys(seed, self.KEY_INDICES), sigma, 100)
+        keys = montecarlo._stream_keys(seed, self.KEY_INDICES)
+        draws = montecarlo._keyed_draws(keys, sigma, 100)
         expected = np.array([stream(seed, int(i)).normal(0.0, sigma, 100)
                              for i in self.KEY_INDICES])
         assert np.array_equal(draws, expected)

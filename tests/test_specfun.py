@@ -325,7 +325,8 @@ class TestHurwitzZeta:
         # s = (3+d)/2, (5+d)/2, (7+d)/2; a = q + 1 from 2 to past 1e5
         import mpmath
 
-        s_all = sorted({1.5, 2.5, 3.5, 4.5} | {(k + d) / 2.0 for k in (3, 5, 7) for d in range(2, 9)})
+        s_all = sorted({1.5, 2.5, 3.5, 4.5}
+                       | {(k + d) / 2.0 for k in (3, 5, 7) for d in range(2, 9)})
         a_all = [2.0, 3.0, 5.0, 9.0, 10.0, 17.0, 65.0, 101.0, 401.0, 2049.0, 1e4 + 1, 1e5 + 1, 7.3]
         worst = 0.0
         with mpmath.workdps(50):
