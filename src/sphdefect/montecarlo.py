@@ -24,7 +24,8 @@ ring is te + to on its first half and te - to on its second, for half
 the flops of the full table (the parity split libsharp uses across the
 equator).
 Memory is the tables, O(l n_theta + l n_phi) on S^2 (O(l^2) per ring on
-S^3), plus one tile of _TILE bytes, whatever the realization count.
+S^3), plus one tile of _TILE bytes, whatever the realization count; the
+grid itself is O(rings), as the sampler reads only its ring layout.
 T is evaluated on the rings holding the primary half of the grid only, a
 tile of realizations x rings at a time.  The tile is azimuth-major: two
 dgemms of the half tables, (n_phi/2, even rows) and (n_phi/2, odd rows),
@@ -39,12 +40,12 @@ the 402,000 ring rows of 2000 realizations took 7.5-10.8 s there, where
 the full-table dgemm took 0.75 s (2-core Xeon, OpenBLAS).
 
 The realization batches run on worker threads, one per core of the
-process's affinity mask.  While they run, the OpenBLAS that numpy calls
-is held at one thread (its global count, restored afterwards), so each
-core does its own dgemm and its own sign count on a tile in its own L2.
-Two workers over a 2-thread BLAS were slower than the plain loop; when no
-OpenBLAS handle is found, or one core is available, the same batch
-function runs in that loop.
+process's affinity mask, taking batch starts from one shared iterator.
+While they run, the OpenBLAS that numpy calls is held at one thread (its
+global count, restored afterwards), so each core does its own dgemm and
+its own sign count on a tile in its own L2.  Two workers over a 2-thread
+BLAS were slower than one; when no OpenBLAS handle is found, or one core
+is available, a single worker runs every batch.
 
 Every realization draws from its own counter-derived stream,
 stream(master_seed, i).  A batch derives the Philox keys of all its
@@ -413,8 +414,9 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     its defect does not depend on the batch it is evaluated in, so any
     split of an index range gives the same values as the whole range.
     The stream keys of the whole range are derived before the batches, in
-    vectorized blocks of _KEY_BLOCK, and each batch takes its slice.  Batches run on one worker thread per core
-    over a 1-thread BLAS, each writing only its own slice of the result.
+    vectorized blocks of _KEY_BLOCK, and each batch takes its slice.
+    Batches run on one worker thread per core over a 1-thread BLAS, each
+    writing only its own slice; the first failure stops them, then raises.
     """
     rings = _rings(d, l, grid)
     defects = np.empty(n_realizations)
@@ -423,25 +425,37 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     for lo in range(0, n_realizations, _KEY_BLOCK):
         keys[lo:lo + _KEY_BLOCK] = _stream_keys(master_seed, indices[lo:lo + _KEY_BLOCK])
 
-    def batch(lo: int) -> None:
-        hi = min(lo + _BATCH, n_realizations)
-        a = _keyed_draws(keys[lo:hi], rings.sigma, rings.slot.size)
-        defects[lo:hi] = _ring_defects(rings, a)
-
     starts = range(0, n_realizations, _BATCH)
+    pending, lock, failed = iter(starts), threading.Lock(), []
+
+    def work() -> None:
+        # batches from the shared iterator until it runs out or one fails
+        while True:
+            with lock:
+                lo = None if failed else next(pending, None)
+            if lo is None:
+                return
+            try:
+                a = _keyed_draws(keys[lo:lo + _BATCH], rings.sigma, rings.slot.size)
+                defects[lo:lo + _BATCH] = _ring_defects(rings, a)
+            except BaseException as exc:  # the caller re-raises the first
+                failed.append(exc)
+
     workers = min(_cores(), len(starts))
     with _one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as limited:
-        if limited:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(workers)
-            try:
-                list(pool.map(batch, starts))
-            finally:
-                pool.shutdown(cancel_futures=True)
-        else:
-            for lo in starts:
-                batch(lo)
+        threads = [threading.Thread(target=work) for _ in range(workers if limited else 1)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # an interrupt: no batch starts, running ones end
+            failed.insert(0, exc)
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join()
+    if failed:
+        raise failed[0]
     return defects
 
 

@@ -28,6 +28,7 @@ size.  Every interval rule is a (nodes, weights) pair of arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -309,34 +310,59 @@ def geodesic(x, y) -> float:
 class QuadratureGrid:
     """Product quadrature grid on S^2 or S^3, as built by :func:`build_grid`.
 
-    points: (N, d+1) unit vectors; weights sum to |S^d|;
+    The grid stores its ring layout only, O(rings) numbers: ``ring_nodes``
+    holds one array of cos nodes per polar axis, whose entry g is ring g's
+    node on that axis, ``ring_weights[g]`` is the weight of every point of
+    ring g, and each ring has the azimuths phi_j = 2 pi j / n_phi.
     exactness_degree: polynomials on R^(d+1) of total degree <= this
-    integrate exactly (to rounding) when restricted to the sphere;
-    antipode_index[i] is the index of the point -points[i] (the point set is
-    closed under the antipodal map with exactly equal weights, and the
-    mirrored coordinates are exact IEEE negations).
+    integrate exactly (to rounding) when restricted to the sphere.
 
-    Points run ring by ring, rings in polar multi-index order (last axis
-    fastest) and the azimuth phi_j = 2 pi j / n_phi fastest within a ring.
-    The grid carries its ring layout: ``ring_nodes`` holds one array of cos
-    nodes per polar axis, whose entry g is ring g's node on that axis, and
-    ``ring_weights[g]`` the weight of every point of ring g.  The first N/2
+    The dense arrays are built from the layout on first access, and kept:
+    points, (N, d+1) unit vectors, ring by ring in polar multi-index order
+    (last axis fastest), azimuth fastest within a ring; weights, summing to
+    |S^d|; antipode_index[i], the index of the point -points[i] (the point
+    set is closed under the antipodal map with exactly equal weights, and
+    the mirrored coordinates are exact IEEE negations).  The first N/2
     points are the primary half: i < antipode_index[i] exactly when
     i < N/2.  Grids compare and hash by identity.
     """
 
     d: int
-    points: np.ndarray
-    weights: np.ndarray
     exactness_degree: int
-    antipode_index: np.ndarray
     ring_nodes: tuple
     ring_weights: np.ndarray
     n_phi: int
 
     @property
     def size(self) -> int:
-        return self.points.shape[0]
+        return self.ring_weights.size * self.n_phi
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        d, n_phi, rings = self.d, self.n_phi, self.ring_weights.size
+        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        points = np.empty((rings, n_phi, d + 1))
+        sin_prod = np.ones(rings)
+        for j, t in enumerate(self.ring_nodes):
+            points[:, :, j] = (sin_prod * t)[:, None]
+            sin_prod = sin_prod * np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        points[:, :, d - 1] = np.outer(sin_prod, np.cos(phi))
+        points[:, :, d] = np.outer(sin_prod, np.sin(phi))
+        points = points.reshape(self.size, d + 1)
+        half = self.size // 2
+        points[self.antipode_index[:half]] = -points[:half]
+        return points
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return np.repeat(self.ring_weights, self.n_phi)
+
+    @functools.cached_property
+    def antipode_index(self) -> np.ndarray:
+        # ring g's antipodal ring is R - 1 - g, phi shifted by n_phi/2
+        rings, n_phi = self.ring_weights.size, self.n_phi
+        return ((rings - 1 - np.arange(rings))[:, None] * n_phi
+                + (np.arange(n_phi) + n_phi // 2) % n_phi).ravel()
 
 
 # points a grid may have; build_grid refuses larger ones before any rule
@@ -364,13 +390,15 @@ def build_grid(d: int, degree: int) -> QuadratureGrid:
     for the last polar angle); the azimuth is a uniform rule with an even
     node count n_phi >= degree + 1.
 
-    Layout: ring by ring in polar multi-index order (last axis fastest),
-    the azimuth phi_j = 2 pi j / n_phi fastest within a ring.  Every polar
-    node list is exactly +-symmetric, so ring g's antipodal ring is
-    R - 1 - g with phi shifted by n_phi/2, and the first N/2 points are the
-    primary half; the mirror half is written as their exact negations, so
-    parity cancellations are exact.  The point count is checked against
-    the budget before any rule is built.
+    Only the ring layout is built: rings in polar multi-index order (last
+    axis fastest), the azimuth phi_j = 2 pi j / n_phi fastest within a
+    ring.  Every polar node list is exactly +-symmetric, so ring g's
+    antipodal ring is R - 1 - g with phi shifted by n_phi/2, and the first
+    N/2 points are the primary half.  The dense points, weights and
+    antipode index follow on first access; there the mirror half is
+    written as exact negations of the primary half, so parity
+    cancellations are exact.  The point count is checked against the
+    budget before any rule is built.
     """
     if d not in (2, 3):
         raise ValueError(f"product grids exist for d in {{2, 3}}, got d={d}")
@@ -389,29 +417,5 @@ def build_grid(d: int, degree: int) -> QuadratureGrid:
     if d == 3:  # chi's weight sin(chi) goes first
         polar.insert(0, chebyshev_sqrt_rule(n_polar))
     nodes, ring_weights = _ring_layout(polar, n_phi)
-    rings = ring_weights.size
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    points = np.empty((rings, n_phi, d + 1))
-    sin_prod = np.ones(rings)
-    for j, t in enumerate(nodes):
-        points[:, :, j] = (sin_prod * t)[:, None]
-        sin_prod = sin_prod * np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    points[:, :, d - 1] = np.outer(sin_prod, np.cos(phi))
-    points[:, :, d] = np.outer(sin_prod, np.sin(phi))
-    points = points.reshape(total, d + 1)
-
-    anti = ((rings - 1 - np.arange(rings))[:, None] * n_phi
-            + (np.arange(n_phi) + n_phi // 2) % n_phi).ravel()
-    half = total // 2
-    points[anti[:half]] = -points[:half]
-
-    return QuadratureGrid(
-        d=d,
-        points=points,
-        weights=np.repeat(ring_weights, n_phi),
-        exactness_degree=degree,
-        antipode_index=anti,
-        ring_nodes=tuple(nodes),
-        ring_weights=ring_weights,
-        n_phi=n_phi,
-    )
+    return QuadratureGrid(d=d, exactness_degree=degree, ring_nodes=tuple(nodes),
+                          ring_weights=ring_weights, n_phi=n_phi)

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 import math
+import signal
 import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -391,6 +394,62 @@ class TestWorkers:
             _spectral_defects(2, 6, grid, SEED, 400)
         assert blas() == 2
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failure_stops_new_batches_and_joins_workers(self, workers):
+        # 20 batches; the first call fails, so the workers stop long before
+        # the range is done, and none is left running after the raise
+        kernel = montecarlo._ring_defects
+        calls = itertools.count()
+
+        def failing(*args):
+            if next(calls) == 0:
+                raise RuntimeError("worker failed")
+            return kernel(*args)
+
+        grid = build_grid(2, 20)
+        running = threading.active_count()
+        with mock.patch.object(montecarlo, "_cores", lambda: workers), \
+                mock.patch.object(montecarlo, "_ring_defects", failing), \
+                pytest.raises(RuntimeError, match="worker failed"):
+            _spectral_defects(2, 4, grid, SEED, 20 * montecarlo._BATCH)
+        assert threading.active_count() == running
+        started = next(calls)
+        assert started == 1 if workers == 1 else started < 20
+
+    def test_interrupt_in_join_stops_new_batches(self):
+        # a signal delivered to the thread waiting in join raises there
+        # (at the third batch, once every worker has started), and the
+        # workers then start no batch.  CPython 3.11 marks a thread whose
+        # join was interrupted as stopped, so it cannot be joined again:
+        # the test waits, bounded, for the worker count to fall instead
+        kernel = montecarlo._ring_defects
+        calls = itertools.count()
+        main = threading.get_ident()
+
+        def interrupting(*args):
+            if next(calls) == 2:
+                signal.pthread_kill(main, signal.SIGINT)
+            return kernel(*args)
+
+        def interrupted(signum, frame):
+            raise RuntimeError("interrupted")
+
+        grid = build_grid(2, 20)
+        running = threading.active_count()
+        saved = signal.signal(signal.SIGINT, interrupted)
+        try:
+            with mock.patch.object(montecarlo, "_cores", lambda: 2), \
+                    mock.patch.object(montecarlo, "_ring_defects", interrupting):
+                with pytest.raises(RuntimeError, match="interrupted"):
+                    _spectral_defects(2, 4, grid, SEED, 20 * montecarlo._BATCH)
+                deadline = time.monotonic() + 10.0
+                while threading.active_count() > running and time.monotonic() < deadline:
+                    time.sleep(0.01)
+        finally:
+            signal.signal(signal.SIGINT, saved)
+        assert threading.active_count() == running
+        assert next(calls) < 20
+
 
 class TestWasserstein:
     def test_normal_reference_small_for_normal_sample(self):
@@ -459,6 +518,21 @@ class TestCltExperiment:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError, match="realizations"):
             clt_experiment(2, 8, 1)
+
+    def test_builds_no_dense_grid_arrays(self, monkeypatch):
+        # the sampler reads the ring layout only; the dense arrays are
+        # cached properties, so they appear in vars(grid) once built
+        grids = []
+
+        def spy(d, degree):
+            grids.append(build_grid(d, degree))
+            return grids[-1]
+
+        monkeypatch.setattr(montecarlo, "build_grid", spy)
+        clt_experiment(2, 6, 200, CltConfig(master_seed=SEED))
+        assert len(grids) == 1
+        assert set(vars(grids[0])) == {"d", "exactness_degree", "ring_nodes",
+                                       "ring_weights", "n_phi"}
 
     def test_rejects_negative_seed_before_any_grid(self, monkeypatch):
         def no_grid(d, degree):

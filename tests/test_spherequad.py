@@ -299,6 +299,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(3, 2000)
 
+    def test_dense_arrays_built_on_first_access(self):
+        # 1281 polar rings x 2562 azimuths, under the 4M-point budget: the
+        # grid holds its ring layout, about 20 KB, and no dense array
+        grid = build_grid(2, 2560)
+        assert grid.size == 1281 * 2562 == 3_281_922
+        assert not {"points", "weights", "antipode_index"} & set(vars(grid))
+        small = build_grid(3, 9)
+        assert small.points is small.points
+        assert {"points", "antipode_index"} <= set(vars(small))
+        assert small.points.shape == (small.size, 4)
+
     def test_point_budget_checked_before_any_rule(self, monkeypatch):
         def no_rule(n):
             raise AssertionError(f"built a {n}-node rule")
