@@ -4,7 +4,9 @@ Explicit orthonormal real bases of the degree-l harmonic eigenspace on S^2
 and S^3, built from fully normalized associated Legendre functions and, for
 S^3, Gegenbauer polar factors times an S^2 block per azimuthal order.  On
 top of the bases: Gaunt coefficients (triple products of same-degree
-harmonics) by exact-degree quadrature, the double-sum identity
+harmonics) by exact-degree quadrature, summed ring by ring over the
+factored basis (an azimuth triple sum times a polar sum over the grid's
+rings), the double-sum identity
 
     sum_{m1,m2} Gaunt(m1,m2,M) Gaunt(m1,m2,M')
         = delta_{M,M'} (n^2/|S^d|) (|S^(d-1)|/|S^d|) int_{-1}^{1} G^3 w dt,
@@ -22,6 +24,7 @@ repeat for L = 0..l with polar order L.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .specfun import _gegenbauer_evaluator, eigenspace_dim, sphere_surface
-from .spherequad import QuadratureGrid, build_grid, cubic_integral, gegenbauer_moment
+from .spherequad import QuadratureGrid, build_grid, cubic_integral
 
 __all__ = [
     "HarmonicBasis",
@@ -254,46 +257,50 @@ class GauntTable:
             for line in fh:
                 if not line.strip():
                     continue
-                a, b, c, v = line.split()
-                coeff[tuple(sorted(int(x) - 1 for x in (a, b, c)))] = float(v)
-        return cls(d=d, l=l, n=n, exactness=exactness, coefficients=_from_canonical(coeff))
-
-
-def _from_canonical(t: np.ndarray) -> np.ndarray:
-    """Every entry gathered from its sorted index triple (reads only
-    i <= j <= k), so the table is exactly symmetric under all 6 permutations.
-    The sorted triple of (a, b, c) is (min, a + b + c - min - max, max): one
-    flat index, taken once."""
-    n = t.shape[0]
-    a, b, c = np.ogrid[:n, :n, :n]
-    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    return np.take(t, (lo * n + (a + b + c - lo - hi)) * n + hi)
+                *abc, v = line.split()
+                for idx in itertools.permutations(int(x) - 1 for x in abc):
+                    coeff[idx] = float(v)
+        return cls(d=d, l=l, n=n, exactness=exactness, coefficients=coeff)
 
 
 def gaunt_table(d: int, l: int) -> GauntTable:
     """Gaunt coefficients of the full degree-l basis by exact quadrature.
 
-    The triple product has polynomial degree 3l, so a grid of exactness 3l
-    integrates every coefficient exactly (up to rounding).  Only the
-    canonical entries i <= j <= k are computed; every entry is gathered from
-    its sorted index triple, and small ones are snapped to exact zeros.
+    The triple product has polynomial degree 3l, so the grid of exactness 3l
+    integrates every coefficient exactly (up to rounding).  On its rings the
+    basis factors as in :meth:`HarmonicBasis.ring_factors`; with
+    p_a(g) = polar[m_a, L_a, g],
+
+        Gaunt[a, b, c] = Z[m_a, m_b, m_c] sum_g w_g p_a(g) p_b(g) p_c(g),
+
+    Z the sum of azimuth-row triple products over the n_phi azimuths (exact,
+    as 3l < n_phi).  Slice a is one product over the G rings and one over
+    the azimuths, for b, c >= a only; these canonical entries a <= b <= c
+    are snapped to exact zeros when small and written to all their
+    permutations, so the table is exactly symmetric with O(n^2) scratch.
+    Odd l gives the zero table: the integrand is odd under x -> -x.
     """
     basis = build_basis(d, l)
     n = basis.size
     grid = build_grid(d, max(3 * l, 2))
-    # slice i is an (n-i) x P by P x (n-i) product: sum_i (n-i)^2 P flops
-    flops = n * (n + 1) * (2 * n + 1) // 6 * grid.size
+    t = np.zeros((n, n, n))
+    if l % 2 == 1:
+        return GauntTable(d=d, l=l, n=n, exactness=grid.exactness_degree, coefficients=t)
+    # slice i sums (n-i)^2 products over the G rings: sum_i (n-i)^2 G flops;
+    # its azimuth sums, over n_phi = 2G points on S^2, add at most twice that
+    flops = n * (n + 1) * (2 * n + 1) // 6 * grid.ring_weights.size
     if flops > _GAUNT_FLOP_BUDGET:
         raise ValueError(f"gaunt_table(d={d}, l={l}): {flops:.2e} flops "
                          f"exceeds budget {_GAUNT_FLOP_BUDGET:.0e}")
-    b = basis.evaluate_on_grid(grid)
-    bw = b * grid.weights
-    # one dgemm per slice on j, k >= i, all the gather below reads; O(n P) scratch
-    t = np.empty((n, n, n))
+    polar, azimuth, slot = basis.ring_factors(grid.ring_nodes, grid.n_phi)
+    m = slot % (2 * l + 1)
+    p, a = polar[m, slot // (2 * l + 1)], azimuth[m]  # rows of basis function i
+    pw = p * grid.ring_weights
     for i in range(n):
-        np.matmul(bw[i] * b[i:], b[i:].T, out=t[i, i:, i:])
-    t = _from_canonical(t)
-    t[np.abs(t) < _SNAP] = 0.0
+        s = ((a[i] * a[i:]) @ a[i:].T) * ((pw[i] * p[i:]) @ p[i:].T)
+        s = np.triu(s) + np.triu(s, 1).T
+        s[np.abs(s) < _SNAP] = 0.0
+        t[i, i:, i:] = t[i:, i, i:] = t[i:, i:, i] = s
     return GauntTable(d=d, l=l, n=n, exactness=grid.exactness_degree, coefficients=t)
 
 
@@ -359,11 +366,10 @@ def cum4_ratio(d: int, l: int) -> float:
     """Fourth-moment CLT diagnostic for the sample bispectrum.
 
     Ratio of the dominant (circulant) fourth-cumulant contribution to the
-    squared variance 3! |S^d| |S^(d-1)| int_0^pi G^3 (sin)^(d-1); decays
-    like l^-(d-1), which drives the bispectrum CLT.
+    squared variance 3! |S^d| |S^(d-1)| int_0^pi G^3 (sin)^(d-1).  Both are
+    multiples of g_{l;d}^2, which cancels: the ratio is exactly
+    1/(36 n_{l;d}), decaying like l^-(d-1), which drives the bispectrum CLT.
     """
     if l % 2 == 1:
         raise ValueError("the fourth-moment ratio is defined for even l only")
-    var3 = (6.0 * sphere_surface(d) * sphere_surface(d - 1)
-            * gegenbauer_moment(d, l, 3, "full"))
-    return circulant_closed(d, l).value / (var3 * var3)
+    return 1.0 / (36.0 * eigenspace_dim(d, l))

@@ -157,9 +157,13 @@ def dct(x, type: int) -> np.ndarray:
     raise ValueError(f"type must be 1, 2 or 3, got {type}")
 
 
-# Values per block of the recurrence and of the power chain: the few float64
-# arrays of one block (64 KB each) stay in L2.
+# Values per block of the power chain: the few float64 arrays of one block
+# (64 KB each) stay in L2.  The block sets the summation order of its sums.
 _BLOCK = 8192
+# Values per block of the recurrence: its three buffers (256 KB each) stay
+# in L2, and a 12,000-node rule is one pass of the degree loop.  Each value
+# is computed on its own, so the block size does not change a bit.
+_RECURRENCE_BLOCK = 1 << 15
 # A power |G|^k whose log falls below this is under the smallest normal
 # double: it adds nothing to a sum above rounding, and subnormal arithmetic
 # is an order of magnitude slower.
@@ -221,7 +225,7 @@ class GegenbauerEvaluator:
         # three block-sized buffers rotated in place; each step computes
         # exactly (a[n] * t) * cur - b[n] * prev, so values match the
         # textbook form bit for bit
-        m = max(1, min(flat.size, _BLOCK))
+        m = max(1, min(flat.size, _RECURRENCE_BLOCK))
         bufs = np.empty((3, m))
         a, b = self._a, self._b
         for start in range(0, flat.size, m):

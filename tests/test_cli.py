@@ -54,9 +54,9 @@ class TestPlumbing:
         assert "exactly one" in err
 
     def test_capability_refusal_exit_2(self, capsys):
-        code, _, err = run(["gaunt", "--d", "2", "--l", "60"], capsys)
+        code, _, err = run(["gaunt", "--d", "2", "--l", "65"], capsys)
         assert code == 2
-        assert "budget" in err
+        assert "l <= 64" in err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from sphdefect.harmonics import (GauntTable, build_basis, circulant_closed,
                                  circulant_sum, cum4_ratio, gaunt_diagonal,
                                  gaunt_table, lemcg_check)
 from sphdefect.specfun import eigenspace_dim, gegenbauer, sphere_surface
-from sphdefect.spherequad import build_grid, cubic_integral, geodesic
+from sphdefect.spherequad import build_grid, cubic_integral, gegenbauer_moment, geodesic
 
 
 def _random_unit(rng, n, dim):
@@ -102,21 +103,39 @@ class TestBasis:
             build_basis(4, 2)
 
 
+_PAPER_CASES = [(2, l) for l in (2, 4, 6, 8, 10, 12, 20)] + [(3, 2), (3, 4), (3, 6)]
+
+
 class TestGauntTable:
     def test_permutation_symmetry_bitwise(self):
         t = gaunt_table(2, 4).coefficients
         for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             assert np.array_equal(t, np.transpose(t, perm))
 
-    @pytest.mark.parametrize("d,l", [(2, 6), (2, 20), (3, 4)])
+    @pytest.mark.parametrize("d,l", _PAPER_CASES + [(2, 40), (3, 8)])
     def test_matches_triple_product_contraction(self, d, l):
-        # the per-slice dgemm against the direct weighted triple product
+        # the ring sums against the direct weighted triple product over every
+        # point of the dense grid, with the same selection-rule zeros
         basis = build_basis(d, l)
         grid = build_grid(d, 3 * l)
         b = basis.evaluate_on_grid(grid)
-        ref = np.einsum("ip,jp,kp->ijk", b * grid.weights, b, b)
+        bw = b * grid.weights
+        ref = np.stack([(bw[i] * b) @ b.T for i in range(basis.size)])
         got = gaunt_table(d, l).coefficients
         assert np.max(np.abs(got - ref)) <= 1e-12
+        if (d, l) in _PAPER_CASES:
+            assert np.array_equal(got == 0.0, np.abs(ref) < 1e-12)
+
+    @pytest.mark.parametrize("d,l", [(2, 40), (3, 8)])
+    def test_scratch_stays_near_table_size(self, d, l):
+        # the symmetric gather runs slice by slice: no n^3 temporaries
+        tracemalloc.start()
+        try:
+            table = gaunt_table(d, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * table.coefficients.nbytes
 
     def test_zonal_triple_closed_form(self):
         # zonal x zonal x zonal reduces to the Legendre cube integral
@@ -126,10 +145,14 @@ class TestGauntTable:
                 * 2.0 * math.pi * cubic_integral(2, l)
             assert table.coefficients[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
-    def test_odd_degree_tables_vanish(self):
-        # parity: the integrand is odd under the antipodal map
-        t = gaunt_table(2, 3).coefficients
-        assert np.all(t == 0.0)
+    def test_odd_degree_tables_vanish(self, monkeypatch):
+        # parity: the integrand is odd under the antipodal map, so odd
+        # degrees give exact zeros with no basis evaluated
+        monkeypatch.delattr(harmonics.HarmonicBasis, "ring_factors")
+        for d, l in ((2, 3), (3, 3)):
+            table = gaunt_table(d, l)
+            assert table.exactness == 9
+            assert np.all(table.coefficients == 0.0)
 
     def test_wigner_squared_sum_rule(self, golden):
         # sum over (m2, m3) of squared coefficients with m1 fixed equals
@@ -159,16 +182,20 @@ class TestGauntTable:
             assert back.exactness == table.exactness
             assert np.array_equal(back.coefficients, table.coefficients)
 
-    def test_flop_budget_refusal(self):
-        with pytest.raises(ValueError, match="budget"):
-            gaunt_table(2, 60)
+    def test_flop_budget_admits_l60(self):
+        # (2, 60): n = 121 on 91 rings costs 597,861 * 91 = 5.4e7 flops
+        table = gaunt_table(2, 60)
+        res = lemcg_check(table)
+        g = gaunt_diagonal(2, 60)
+        assert np.max(np.abs(res - np.diag(np.diag(res)))) < 1e-12
+        assert np.max(np.abs(np.diag(res))) / g < 1e-12
 
     def test_gaunt_budget_models_canonical_slices(self, monkeypatch):
-        # (2, 4): n = 9 on a 7 x 14 grid; the slices j, k >= i cost
-        # sum_i (9 - i)^2 * 98 = 285 * 98 flops
-        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 285 * 98)
+        # (2, 4): n = 9 on 7 rings; the slices j, k >= i cost
+        # sum_i (9 - i)^2 * 7 = 285 * 7 flops
+        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 285 * 7)
         assert gaunt_table(2, 4).n == 9
-        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 285 * 98 - 1)
+        monkeypatch.setattr(harmonics, "_GAUNT_FLOP_BUDGET", 285 * 7 - 1)
         with pytest.raises(ValueError, match="budget"):
             gaunt_table(2, 4)
 
@@ -229,6 +256,15 @@ class TestIdentities:
             assert all(b < a for a, b in zip(vals, vals[1:]))
             for a, b in zip(vals, vals[1:]):
                 assert lo < b / a < hi
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_cum4_ratio_matches_moment_quadrature(self, d):
+        # circulant_closed over the squared variance 3! |S^d| |S^(d-1)| M_3
+        for l in range(2, 61, 2):
+            var3 = (6.0 * sphere_surface(d) * sphere_surface(d - 1)
+                    * gegenbauer_moment(d, l, 3, "full"))
+            quad = circulant_closed(d, l).value / (var3 * var3)
+            assert cum4_ratio(d, l) == pytest.approx(quad, rel=1e-14, abs=0.0)
 
     def test_cum4_ratio_rejects_odd(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from scipy import special as sp
 from sphdefect.specfun import (GegenbauerEvaluator, ScaledBesselKernel, bessel_j, dct,
                                eigenspace_dim, gegenbauer, hurwitz_zeta, ndtr, ndtri,
                                next_fast_len, scaled_bessel, sphere_surface)
-from sphdefect.specfun import _BLOCK, powers_dot
+from sphdefect.specfun import _BLOCK, _RECURRENCE_BLOCK, powers_dot
 
 
 def test_sphere_surface_known_values():
@@ -137,22 +137,34 @@ class TestGegenbauer:
                 assert got[k] == pytest.approx(float(np.dot(w, g**k)), rel=1e-12,
                                                abs=tiny * float(np.sum(w)))
 
+    @staticmethod
+    def _textbook(ev, t):
+        # G_{n+1} = (a[n] * t) * G_n - b[n] * G_{n-1}, one full array per step
+        if ev.degree == 0:
+            return np.ones_like(t)
+        prev, ref = np.ones_like(t), t.copy()
+        for n in range(1, ev.degree):
+            prev, ref = ref, ev._a[n] * t * ref - ev._b[n] * prev
+        return ref
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("l", [0, 1, 7, 400])
     def test_recurrence_bit_identical_to_textbook_form(self, d, l):
-        # the in-place buffers must not change a single bit of
-        # G_{n+1} = (a[n] * t) * G_n - b[n] * G_{n-1}
+        # the in-place buffers must not change a single bit of the textbook form
         ev = GegenbauerEvaluator(d, l)
         t = np.concatenate([np.linspace(-1.0, 1.0, 1001),
                             np.random.default_rng(d + l).uniform(-1.0, 1.0, 500)])
-        if l == 0:
-            ref = np.ones_like(t)
-        else:
-            prev, ref = np.ones_like(t), t.copy()
-            for n in range(1, l):
-                prev, ref = ref, ev._a[n] * t * ref - ev._b[n] * prev
+        ref = self._textbook(ev, t)
         assert np.array_equal(ev._recurrence(t), ref)
         assert np.array_equal(gegenbauer(d, l, t), ref)
+
+    @pytest.mark.parametrize("n", [_RECURRENCE_BLOCK, _RECURRENCE_BLOCK + 1])
+    def test_recurrence_block_edges(self, n):
+        # a whole block, and one with a one-value ragged block, keep every
+        # bit of the textbook form
+        ev = GegenbauerEvaluator(3, 9)
+        t = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        assert np.array_equal(ev._recurrence(t), self._textbook(ev, t))
 
 
 class TestCosineSeries:
