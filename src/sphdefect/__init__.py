@@ -47,4 +47,4 @@ from .spherequad import (
     geodesic,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

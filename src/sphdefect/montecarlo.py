@@ -47,12 +47,14 @@ its own sign count on a tile in its own L2.  Two workers over a 2-thread
 BLAS were slower than one; when no OpenBLAS handle is found, or one core
 is available, a single worker runs every batch.
 
-Every realization draws from its own counter-derived stream,
-stream(master_seed, i).  A batch derives the Philox keys of all its
-indices at once, by numpy's SeedSequence hash in vectorised uint32
-arithmetic, and resets one Philox to counter 0 under each key: the same
-draws for about 9 us per realization, held under the interpreter lock,
-against about 34 us through stream() (81 normals, 2-core Xeon).  A
+Every realization draws from its own stream, stream(master_seed, i):
+Philox under one key per master seed, SeedSequence(master_seed)'s first
+128 bits, started at counter block (0, 0, i, 0), so realization i owns
+2^128 blocks and no two streams overlap (Salmon et al., Parallel random
+numbers: as easy as 1, 2, 3, SC 2011).  A batch keeps one Philox under
+the key and moves it to each realization's counter block in turn: the
+same draws for about 5 us per realization, held under the interpreter
+lock, against about 20 us through stream() (81 normals, 2-core Xeon).  A
 realization's defect is a fixed-order sum over its own ring counts, so
 results are bit-identical for a given master seed no matter how the
 loop is chunked, how many workers share it, or in which order they
@@ -66,6 +68,7 @@ import functools
 import math
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,85 +94,38 @@ __all__ = [
 def stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for realization `index` of a master seed.
 
-    Philox keyed by the (seed, index) pair: realization i's draws never
-    depend on how many other realizations were sampled before it.  The
-    master seed must be a non-negative integer.
+    Philox under the master seed's key, started at the counter block of
+    the index: realization i's draws never depend on how many other
+    realizations were sampled before it.  The master seed must be a
+    non-negative integer and the index an integer in [0, 2^64).
     """
-    _seed_words(master_seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, index))))
+    counter = np.array(_counter(index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=_key(master_seed)))
 
 
-def _seed_words(master_seed: int) -> list[int]:
-    """The uint32 words SeedSequence reads from an integer seed, low first."""
+def _key(master_seed: int) -> np.ndarray:
+    """Philox key of a master seed: SeedSequence(master_seed)'s first 128 bits."""
     if not isinstance(master_seed, (int, np.integer)):
         raise TypeError(f"master_seed must be an integer, got {type(master_seed).__name__}")
     seed = int(master_seed)
     if seed < 0:
         raise ValueError(f"need master_seed >= 0, got {seed}")
-    return [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+def _counter(index: int) -> tuple[int, int, int, int]:
+    """Philox counter block (low word first) at which realization `index` starts.
 
-
-def _hash_chain(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, mul) constants, as uint32 columns, of n successive hash steps."""
-    h = [init]
-    for _ in range(n):
-        h.append(h[-1] * mult & _MASK32)
-    consts = np.array(h, dtype=np.uint32)[:, None]
-    return consts[:-1], consts[1:]
-
-
-def _hash(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mul
-    return v ^ v >> np.uint32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return r ^ r >> np.uint32(16)
-
-
-def _stream_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """Philox keys of stream(master_seed, i) for each index, shape (n, 2).
-
-    SeedSequence((master_seed, i)).generate_state(2, np.uint64) for all i at
-    once: its entropy words (seed words, then index words), hashed into a
-    pool of 4, mixed all-to-all, any word past the fourth mixed into every
-    pool word, then 4 output words.  The hash constants do not depend on
-    the data, so each step is one uint32 operation across the indices.
+    The index is the third of the four 64-bit words, so each realization
+    owns the 2^128 blocks of the two words below it and no two streams of
+    one key overlap.
     """
-    seed = _seed_words(master_seed)
-    keys = np.empty((indices.size, 2), dtype=np.uint64)
-    wide = indices > _MASK32  # an index of 2 words
-    for high in (False, True):
-        part = wide == high
-        if not part.any():
-            continue
-        index = indices[part]
-        words = np.empty((len(seed) + 1 + high, index.size), dtype=np.uint32)
-        words[:len(seed)] = np.array(seed, dtype=np.uint32)[:, None]
-        words[len(seed)] = index & _MASK32
-        if high:
-            words[-1] = index >> 32
-        xor, mul = _hash_chain(_INIT_A, _MULT_A, 16 + 4 * max(words.shape[0] - 4, 0))
-        pool = np.zeros((4, index.size), dtype=np.uint32)
-        pool[:words.shape[0]] = words[:4]
-        pool = _hash(pool, xor[:4], mul[:4])
-        for src in range(4):
-            dst = [i for i in range(4) if i != src]
-            k = 4 + 3 * src
-            pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mul[k:k + 3]))
-        for k, word in enumerate(words[4:]):
-            pool = _mix(pool, _hash(word, xor[16 + 4 * k:20 + 4 * k], mul[16 + 4 * k:20 + 4 * k]))
-        state = _hash(pool, *_hash_chain(_INIT_B, _MULT_B, 4)).astype(np.uint64)
-        keys[part] = (state[0::2] | state[1::2] << np.uint64(32)).T
-    return keys
+    if not isinstance(index, (int, np.integer)):
+        raise TypeError(f"index must be an integer, got {type(index).__name__}")
+    i = int(index)
+    if not 0 <= i < 1 << 64:
+        raise ValueError(f"need 0 <= index < 2^64, got {i}")
+    return (0, 0, i, 0)
 
 
 def nyquist_degree(l: int) -> int:
@@ -317,9 +273,6 @@ def _ring_defects(rings: _Rings, a: np.ndarray,
 
 
 _BATCH = 64
-# stream keys per vectorized call: per-call overhead falls off by here, and
-# the call's temporaries (~115 bytes a key) stay near 120 KB for any n
-_KEY_BLOCK = 1024
 
 # thread-count entry points of the OpenBLAS builds numpy ships or links
 _BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -386,21 +339,19 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-_COUNTER_0 = np.zeros(4, dtype=np.uint64)  # the state setter copies it
+def _draws(key: np.ndarray, indices: Sequence[int], sigma: float, size: int) -> np.ndarray:
+    """Rows stream(master_seed, i).normal(0, sigma, size) for i in indices.
 
-
-def _keyed_draws(keys: np.ndarray, sigma: float, size: int) -> np.ndarray:
-    """Rows Generator(Philox(key)).normal(0, sigma, size), one per key.
-
-    One Philox, reset to counter 0 under each key, gives the draws of
-    stream(master_seed, i) for its key without building a SeedSequence.
+    ``key`` is the master seed's _key.  One Philox under it, moved to each
+    index's counter block in turn, gives those draws without building a
+    generator per realization.
     """
-    bits = np.random.Philox(0)
+    bits = np.random.Philox(key=key)
     gen = np.random.Generator(bits)
     state = bits.state
-    out = np.empty((keys.shape[0], size))
-    for row, key in zip(out, keys):
-        state["state"] = {"counter": _COUNTER_0, "key": key}
+    out = np.empty((len(indices), size))
+    for row, i in zip(out, indices):
+        state["state"]["counter"] = _counter(i)
         bits.state = state
         row[:] = gen.normal(0.0, sigma, size)
     return out
@@ -413,17 +364,14 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     Each realization's coefficient vector comes from its own stream, and
     its defect does not depend on the batch it is evaluated in, so any
     split of an index range gives the same values as the whole range.
-    The stream keys of the whole range are derived before the batches, in
-    vectorized blocks of _KEY_BLOCK, and each batch takes its slice.
+    The master seed is keyed once; each batch draws its realizations
+    through _draws, at their own counter blocks under that key.
     Batches run on one worker thread per core over a 1-thread BLAS, each
     writing only its own slice; the first failure stops them, then raises.
     """
     rings = _rings(d, l, grid)
+    key = _key(master_seed)
     defects = np.empty(n_realizations)
-    indices = np.arange(start, start + n_realizations, dtype=np.uint64)
-    keys = np.empty((n_realizations, 2), dtype=np.uint64)
-    for lo in range(0, n_realizations, _KEY_BLOCK):
-        keys[lo:lo + _KEY_BLOCK] = _stream_keys(master_seed, indices[lo:lo + _KEY_BLOCK])
 
     starts = range(0, n_realizations, _BATCH)
     pending, lock, failed = iter(starts), threading.Lock(), []
@@ -436,7 +384,8 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
             if lo is None:
                 return
             try:
-                a = _keyed_draws(keys[lo:lo + _BATCH], rings.sigma, rings.slot.size)
+                indices = range(start + lo, start + min(lo + _BATCH, n_realizations))
+                a = _draws(key, indices, rings.sigma, rings.slot.size)
                 defects[lo:lo + _BATCH] = _ring_defects(rings, a)
             except BaseException as exc:  # the caller re-raises the first
                 failed.append(exc)
@@ -586,7 +535,7 @@ def clt_experiment(d: int, l: int, n_realizations: int,
             f"needs exactness >= {nyquist_degree(l)} (4l + 20 nodes per great circle)"
         )
     # refuse a bad seed or an unsupported (d, l) before the grid is built
-    _seed_words(cfg.master_seed)
+    _key(cfg.master_seed)
     build_basis(d, l)
     defects = _spectral_defects(d, l, build_grid(d, degree), cfg.master_seed,
                                 n_realizations)

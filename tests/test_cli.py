@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphdefect
 from sphdefect import cli
 from sphdefect.harmonics import GauntTable, gaunt_table
 
@@ -62,6 +65,13 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+    def test_version_matches_pyproject(self):
+        # the package version is written in two places; they must agree
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+        assert declared is not None
+        assert declared.group(1) == sphdefect.__version__
 
     def test_console_entry_point(self):
         # module execution path used by the installed script

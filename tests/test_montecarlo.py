@@ -37,45 +37,50 @@ class TestStreams:
         assert not np.array_equal(a1, c)
 
     # seeds of 1 to 4 words; indices 60..69 cross the batch boundary 64,
-    # and 2^32 - 1, 2^32 cross the index's own word boundary
+    # 2^32 - 1, 2^32 a word boundary, and 2^64 - 1 is the last index
     KEY_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100 + 7)
-    KEY_INDICES = np.array([*range(60, 70), 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5],
-                           dtype=np.uint64)
-
-    @pytest.mark.parametrize("seed", KEY_SEEDS)
-    def test_batch_keys_equal_seed_sequence(self, seed):
-        keys = montecarlo._stream_keys(seed, self.KEY_INDICES)
-        expected = np.array([np.random.SeedSequence((seed, int(i))).generate_state(2, np.uint64)
-                             for i in self.KEY_INDICES])
-        assert keys.dtype == np.uint64
-        assert np.array_equal(keys, expected)
+    KEY_INDICES = (*range(60, 70), 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
 
     @pytest.mark.parametrize("seed", KEY_SEEDS)
     def test_reset_generator_draws_equal_stream(self, seed):
         sigma = 1.7
-        keys = montecarlo._stream_keys(seed, self.KEY_INDICES)
-        draws = montecarlo._keyed_draws(keys, sigma, 100)
-        expected = np.array([stream(seed, int(i)).normal(0.0, sigma, 100)
+        draws = montecarlo._draws(montecarlo._key(seed), self.KEY_INDICES, sigma, 100)
+        expected = np.array([stream(seed, i).normal(0.0, sigma, 100)
                              for i in self.KEY_INDICES])
         assert np.array_equal(draws, expected)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS[:3])
+    @pytest.mark.parametrize("index", [0, 5, 2 ** 64 - 1])
+    def test_stream_state_is_seed_key_at_index_block(self, seed, index):
+        state = stream(seed, index).bit_generator.state["state"]
+        assert np.array_equal(state["key"],
+                              np.random.SeedSequence(seed).generate_state(2, np.uint64))
+        assert np.array_equal(state["counter"], [0, 0, index, 0])
+
+    @pytest.mark.parametrize("index,error", [(-1, ValueError), (2 ** 64, ValueError),
+                                             (2 ** 70, ValueError), (np.int64(-3), ValueError),
+                                             (1.0, TypeError), (np.float64(2.0), TypeError),
+                                             ("7", TypeError)])
+    def test_stream_refuses_index_off_the_counter(self, index, error):
+        with pytest.raises(error, match="index"):
+            stream(7, index)
 
     @pytest.mark.parametrize("seed,error", [(-1, ValueError), (-2 ** 70, ValueError),
                                             (np.int64(-3), ValueError), (1.0, TypeError),
                                             (np.float64(2.0), TypeError)])
     def test_keys_refuse_what_seed_sequence_refuses(self, seed, error):
         with pytest.raises(error):
-            np.random.SeedSequence((seed, 0))
+            np.random.SeedSequence(seed)
         with pytest.raises(error):
-            montecarlo._stream_keys(seed, self.KEY_INDICES)
+            montecarlo._key(seed)
         with pytest.raises(error):
             stream(seed, 0)
 
     @pytest.mark.parametrize("seed", [True, np.uint64(2 ** 64 - 1), np.int8(5)])
     def test_integer_seeds_of_any_type_accepted(self, seed):
-        keys = montecarlo._stream_keys(seed, self.KEY_INDICES[:2])
-        expected = [np.random.SeedSequence((seed, int(i))).generate_state(2, np.uint64)
-                    for i in self.KEY_INDICES[:2]]
-        assert np.array_equal(keys, expected)
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        assert np.array_equal(montecarlo._key(seed), key)
+        assert np.array_equal(stream(seed, 3).bit_generator.state["state"]["key"], key)
 
     def test_seed_must_be_an_integer(self):
         # SeedSequence would also read "7" or (1, 2); a master seed is an int
