@@ -24,20 +24,32 @@ ring is te + to on its first half and te - to on its second, for half
 the flops of the full table (the parity split libsharp uses across the
 equator).
 Memory is the tables, O(l n_theta + l n_phi) on S^2 (O(l^2) per ring on
-S^3), plus one tile of _TILE bytes, whatever the realization count; the
+S^3), plus one workspace per worker, whatever the realization count; the
 grid itself is O(rings), as the sampler reads only its ring layout.
 T is evaluated on the rings holding the primary half of the grid only, a
-tile of realizations x rings at a time.  The tile is azimuth-major: two
-dgemms of the half tables, (n_phi/2, even rows) and (n_phi/2, odd rows),
-against the ring coefficients of R * rings columns give te and to.  The
-signs of te + to and te - to, taken from comparisons of te with -to and
-to, are summed in cache over the azimuth axis, one long contiguous row
-at a time, to per-ring counts; the mirror half follows by antipodal
-parity.
+tile of realizations x rings at a time, azimuth-major: the ring
+coefficients of R * rings columns are multiplied by the tables and the
+signs of the result are summed in cache over the azimuth axis, one long
+contiguous row at a time, to per-ring counts; the mirror half follows by
+antipodal parity.  For a table of width 2l+1 <= _STACK_WIDTH = 33 (all of
+S^3, S^2 up to l = 16) a tile is one dgemm of the stacked table
+[[even, odd], [even, -odd]], giving T on both half rings, and two
+comparisons with 0; wider tables keep the split, whose two dgemms give
+te and to and whose four comparisons of te with to and -to give the
+signs.  The stacked form doubles the flops to save two comparisons and a
+negation, so it wins while the dgemm is short: with two workers,
+sampling took 0.58 s split and 0.46 s stacked at (3, 4, 5000), but 0.45
+and 0.57 s at (2, 40, 1000) (BENCH_21.json).  Each worker keeps one
+_Workspace, whose arrays every tile writes with out= and whose views of
+each tile are laid out once per batch size, so no batch allocates or
+re-faults its arrays (a fresh clt_experiment(3, 4, 5000) takes about
+1,500 minor page faults, against 39,000-71,000 with per-batch arrays)
+and the workers do not contend for the interpreter lock building views.
 The dgemm replaces the real FFT along each ring on purpose: n_phi is not
-FFT-friendly (802 = 2 * 401 at l = 40), and a batched scipy.fft.irfft of
-the 402,000 ring rows of 2000 realizations took 7.5-10.8 s there, where
-the full-table dgemm took 0.75 s (2-core Xeon, OpenBLAS).
+FFT-friendly (802 = 2 * 401 at l = 40), and a batched real inverse FFT of
+the 402,000 ring rows of 2000 realizations took 7.5-10.8 s there (SciPy's
+irfft, measured before the package dropped SciPy), where the full-table
+dgemm took 0.75 s (2-core Xeon, OpenBLAS).
 
 The realization batches run on worker threads, one per core of the
 process's affinity mask, taking batch starts from one shared iterator.
@@ -70,6 +82,7 @@ import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,22 +179,34 @@ class _Rings:
     """The spectral sampler's tables for the primary rings of a product grid.
 
     HarmonicBasis.ring_factors on the G primary rings, split by the parity
-    of the azimuthal order k: polar holds the even-k rows (the first
-    n_even) then the odd-k rows, slot scatters coefficients into that row
-    order, and azimuth_t is (even rows, odd rows) of the azimuth table on
-    the first n_phi/2 azimuths, transposed.  pair_weights[g] is the summed
-    weight of a primary point and its antipode (2 w for even l, exactly 0
-    for odd l); when ``centre`` is set, the last primary ring is its own
-    antipodal image and only its first n_phi/2 points are primary.
+    of the azimuthal order k: polar (rows m, polar blocks L, rings) holds
+    the even-k rows (the first n_even) then the odd-k rows, slot scatters
+    basis coefficient i to m * n_l + L in that row order (m-major, so each
+    row's (R, n_l) block of a batch is a BLAS operand), and azimuth_t is
+    (even rows, odd rows) of the azimuth table on the first n_phi/2
+    azimuths, transposed.  For a narrow table (width 2l+1 <= _STACK_WIDTH)
+    stacked is the full-ring table [[even, odd], [even, -odd]], else None.
+    pair_weights[g] is the summed weight of a primary point and its
+    antipode (2 w for even l, exactly 0 for odd l); when ``centre`` is set,
+    the last primary ring is its own antipodal image and only its first
+    n_phi/2 points are primary.
     """
 
     sigma: float
     polar: np.ndarray
     n_even: int
     azimuth_t: tuple[np.ndarray, np.ndarray]
+    stacked: np.ndarray | None
     slot: np.ndarray
     pair_weights: np.ndarray
     centre: bool
+
+
+# Widest table (2l+1) whose tile is one full-ring dgemm.  Swept with two
+# workers on S^2 l = 4..20, 40 and S^3 l = 4, 6, 8 (BENCH_21.json): the
+# stacked tile won through width 33 (S^2 l = 16), tied at 41 and lost 25%
+# at 81, where the doubled flops dominate.
+_STACK_WIDTH = 33
 
 
 def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
@@ -199,27 +224,114 @@ def _rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
     n_even = l // 2 * 2 + 1
     row = np.argsort(order)
     azimuth = azimuth[order, :grid.n_phi // 2]
+    even_t = np.ascontiguousarray(azimuth[:n_even].T)
+    odd_t = np.ascontiguousarray(azimuth[n_even:].T)
+    stacked = np.block([[even_t, odd_t], [even_t, -odd_t]]) if width <= _STACK_WIDTH else None
     w = grid.ring_weights[:primary]
     return _Rings(sigma=math.sqrt(sphere_surface(d) / basis.size),
-                  polar=polar[order], n_even=n_even,
-                  azimuth_t=(np.ascontiguousarray(azimuth[:n_even].T),
-                             np.ascontiguousarray(azimuth[n_even:].T)),
-                  slot=slot - slot % width + row[slot % width],
+                  polar=polar[order], n_even=n_even, azimuth_t=(even_t, odd_t),
+                  stacked=stacked, slot=row[slot % width] * polar.shape[1] + slot // width,
                   pair_weights=w + (-1.0) ** l * w, centre=n_rings % 2 == 1)
 
 
-# Bytes of one tile's two half-ring products te and to (n_phi/2 azimuths x
-# realizations x rings each): the pair and its sign arrays stay in L2
-# (2 MB per core on the reference box) while they are reduced to ring
-# counts.  Swept on the split, azimuth-major tile with one worker per core
-# over a 1-thread BLAS (2-core Xeon), 256 KB / 512 KB / 1 MB / 2 MB tiles
-# took 1.90 / 1.22 / 0.90 / 0.93 s at l = 40 on S^2 (2000 realizations)
-# and 1.80 / 1.05 / 0.62 / 0.63 s at l = 4 on S^3 (5000): smaller tiles
-# pay per-call overhead, larger ones leave L2.
+# Bytes of one tile's ring values: te and to (n_phi/2 azimuths x
+# realizations x rings each), or the full-ring T of the same size.  The
+# values and their sign scratch stay in L2 (2 MB per core on the reference
+# box) while they are reduced to ring counts.  Swept with two workers
+# (2-core Xeon, medians of 8 alternating in-process calls), 512 KB / 1 MB /
+# 2 MB tiles took 1.28 / 0.90 / 0.88 s at l = 40 on S^2 (split, 2000
+# realizations) and 0.63 / 0.48 / 0.48 s at l = 4 on S^3 (stacked, 5000):
+# smaller tiles pay per-call overhead, and 2 MB would gain nothing for
+# 1-2 MB more workspace per worker.
 _TILE = 1 << 20
 
 
-def _ring_defects(rings: _Rings, a: np.ndarray,
+class _Tile(NamedTuple):
+    """Views of one tile, realizations ``rows`` x primary rings ``block``
+    (R x G columns), into the arrays of a _Workspace."""
+
+    rows: slice
+    block: slice
+    coeff: np.ndarray  # (2l+1, R, n_l), a view of the scatter
+    polar: np.ndarray  # (2l+1, n_l, G) polar factors of the block
+    c: np.ndarray  # (2l+1, R, G) ring coefficients
+    c2: np.ndarray  # c as (2l+1, R*G)
+    values: np.ndarray  # (n_phi, R*G): T, or te above to
+    halves: np.ndarray  # values as (2, n_phi/2, R*G)
+    more: np.ndarray  # bool (2, n_phi/2, R*G): sign comparisons
+    less: np.ndarray
+    more8: np.ndarray  # their int8 views
+    less8: np.ndarray
+    signs: np.ndarray  # int8 (2, n_phi/2, R*G)
+    centre: np.ndarray | None  # the second half of a centre ring's signs
+    ring_counts: np.ndarray  # (R*G,)
+    counts: np.ndarray  # the workspace's counts[rows, block]
+    counts_rg: np.ndarray  # ring_counts as (R, G)
+
+
+class _Workspace:
+    """One worker's tile arrays and the views of every tile into them.
+
+    The arrays are the coefficient scatter (its slots outside rings.slot
+    stay 0), the ring coefficients, the ring values, the bool and int8
+    sign scratch and the counts, sized for batches of up to n realizations
+    and tiles of tile_cols columns.  tiles(n) lays out the tiles of an
+    n-row batch once, so the tile loop does nothing but numpy calls that
+    write leading blocks with out=: no batch allocates, and the pages,
+    faulted in once, stay mapped.  With two workers the views matter as
+    much as the arrays: built in the loop, they held the interpreter lock
+    long enough to make the split tile 13% slower at l = 40 on S^2.  Both
+    tile forms use the same arrays.
+    """
+
+    def __init__(self, rings: _Rings, n: int) -> None:
+        width, n_l, n_rings = rings.polar.shape
+        half = rings.azimuth_t[0].shape[0]
+        self.rings = rings
+        self.tile_cols = max(1, _TILE // (16 * half))
+        cols = min(self.tile_cols, n * n_rings)
+        self.scatter = np.zeros((n, width * n_l))
+        self.counts = np.empty((n, n_rings))
+        self._c = np.empty(width * cols)
+        self._values = np.empty(2 * half * cols)
+        self._flags = np.empty((2, 2 * half * cols), np.bool_)
+        self._signs = np.empty(2 * half * cols, np.int8)
+        # |count| <= n_phi: int8 sums (no cast) while that fits
+        self._ring_counts = np.empty(cols, np.int8 if 2 * half <= 127 else np.int16)
+        self._tiles: dict[int, list[_Tile]] = {}
+
+    def tiles(self, n: int) -> list[_Tile]:
+        if n not in self._tiles:
+            self._tiles[n] = list(self._layout(n))
+        return self._tiles[n]
+
+    def _layout(self, n: int):
+        rings = self.rings
+        width, n_l, n_rings = rings.polar.shape
+        half = rings.azimuth_t[0].shape[0]
+        coeff = self.scatter[:n].reshape(n, width, n_l).transpose(1, 0, 2)
+        r_step = min(n, self.tile_cols)
+        g_step = max(1, self.tile_cols // r_step)
+        for r0 in range(0, n, r_step):
+            rows = slice(r0, min(r0 + r_step, n))
+            for g0 in range(0, n_rings, g_step):
+                block = slice(g0, min(g0 + g_step, n_rings))
+                r, g = rows.stop - r0, block.stop - g0
+                m = 2 * half * r * g
+                c = self._c[:width * r * g].reshape(width, r, g)
+                values = self._values[:m].reshape(2 * half, r * g)
+                more, less = self._flags[:, :m].reshape(2, 2, half, r * g)
+                signs = self._signs[:m].reshape(2, half, r * g)
+                centre = rings.centre and block.stop == n_rings
+                ring_counts = self._ring_counts[:r * g]
+                yield _Tile(rows, block, coeff[:, rows], rings.polar[:, :, block], c,
+                            c.reshape(width, r * g), values, values.reshape(2, half, r * g),
+                            more, less, more.view(np.int8), less.view(np.int8), signs,
+                            signs[1].reshape(half, r, g)[:, :, -1] if centre else None,
+                            ring_counts, self.counts[rows, block], ring_counts.reshape(r, g))
+
+
+def _ring_defects(rings: _Rings, a: np.ndarray, work: _Workspace | None = None,
                   values: np.ndarray | None = None) -> np.ndarray:
     """Defects of the fields with coefficient rows ``a``, tile by tile.
 
@@ -227,49 +339,62 @@ def _ring_defects(rings: _Rings, a: np.ndarray,
     azimuth row of order k picks up (-1)^k.  So with te and to the sums of
     the even-k and odd-k rows over the first n_phi/2 azimuths, a ring is
     T = te + to on its first half and T = te - to on its second.  A tile is
-    two dgemms, azimuth-major: (n_phi/2, n_even) and (n_phi/2, n_odd) half
-    tables times the ring coefficients of realizations x rings columns.
-    Its signs are counted from comparisons, since fl(a + b) > 0 exactly
-    when a > -b under gradual underflow, so T is never formed: the count
-    of a column is the int16 sum over axis 0 of sign(te + to) and, except
-    on a centre ring, sign(te - to); |count| <= n_phi <= 2828 under the
-    grid's 4M-point budget, so int16 cannot overflow.  The defect is the
-    fixed-order sum of counts times pair weights, so it depends on neither
-    the tiling nor the batch a realization arrives in.  With ``values`` of
-    shape (R, grid rings, n_phi), T is also written on the primary rings.
+    azimuth-major, against the ring coefficients of realizations x rings
+    columns: for a narrow table one dgemm of the stacked (n_phi, 2l+1)
+    table gives T on both halves, and its sign comes from comparisons with
+    0; otherwise two dgemms of the (n_phi/2, n_even) and (n_phi/2, n_odd)
+    half tables give te and to, and the signs come from comparisons of te
+    with to and -to, since fl(a + b) > 0 exactly when a > -b under gradual
+    underflow.  The count of a column is the sum over axis 0 of sign(T)
+    on the first half plus, except on a centre ring, the second, in int8
+    when n_phi <= 127 and in int16 otherwise; |count| <= n_phi <= 2828
+    under the grid's 4M-point budget, so neither can overflow.  The defect
+    is the fixed-order sum of counts times pair weights, so it depends on
+    neither the tiling nor the batch a realization arrives in.  ``work``
+    (a _Workspace of these rings for at least len(a) rows; a fresh one
+    when None) holds every array of the loop.  With ``values`` of shape
+    (R, grid rings, n_phi), T = te +- to is also written on the primary
+    rings, by the split form.
     """
-    width, n_l, n_rings = rings.polar.shape
+    n = a.shape[0]
+    work = _Workspace(rings, n) if work is None else work
+    stacked = rings.stacked if values is None else None
     even_t, odd_t = rings.azimuth_t
-    half = even_t.shape[0]
-    scattered = np.zeros((a.shape[0], n_l * width))
-    scattered[:, rings.slot] = a
-    coeff = scattered.reshape(-1, n_l, width).transpose(2, 0, 1)
-    counts = np.empty((a.shape[0], n_rings))
-    tile_cols = max(1, _TILE // (16 * half))
-    r_step = min(a.shape[0], tile_cols)
-    g_step = max(1, tile_cols // r_step)
-    for r0 in range(0, a.shape[0], r_step):
-        r1 = min(r0 + r_step, a.shape[0])
-        for g0 in range(0, n_rings, g_step):
-            g1 = min(g0 + g_step, n_rings)
-            c = np.matmul(coeff[:, r0:r1], rings.polar[:, :, g0:g1]).reshape(width, -1)
-            te = even_t @ c[:rings.n_even]
-            to = odd_t @ c[rings.n_even:]
+    half, n_even = even_t.shape[0], rings.n_even
+    work.scatter[:n, rings.slot] = a
+    for tile in work.tiles(n):
+        np.matmul(tile.coeff, tile.polar, out=tile.c)
+        # signs as int8 views of comparisons: several times cheaper than
+        # np.sign on float64, and exact
+        if stacked is not None:
+            np.matmul(stacked, tile.c2, out=tile.values)
+            np.greater(tile.halves, 0.0, out=tile.more)
+            np.less(tile.halves, 0.0, out=tile.less)
+        else:
+            te, to = tile.halves
+            np.matmul(even_t, tile.c2[:n_even], out=te)
+            np.matmul(odd_t, tile.c2[n_even:], out=to)
             if values is not None:
-                ring = (half, r1 - r0, g1 - g0)
-                values[r0:r1, g0:g1, :half] = (te + to).reshape(ring).transpose(1, 2, 0)
-                values[r0:r1, g0:g1, half:] = (te - to).reshape(ring).transpose(1, 2, 0)
-            # sign(te - to), then sign(te + to) against to negated in place,
-            # as int8 views of comparisons: several times cheaper than
-            # np.sign on float64, and exact
-            s = (te > to).view(np.int8) - (te < to).view(np.int8)
-            if rings.centre and g1 == n_rings:
-                s.reshape(half, r1 - r0, -1)[:, :, -1] = 0
+                ring = (half, *tile.c.shape[1:])
+                values[tile.rows, tile.block, :half] = (te + to).reshape(ring).transpose(1, 2, 0)
+                values[tile.rows, tile.block, half:] = (te - to).reshape(ring).transpose(1, 2, 0)
+            # sign(te - to) into the second half, sign(te + to) into the
+            # first against to negated in place
+            np.greater(te, to, out=tile.more[1])
+            np.less(te, to, out=tile.less[1])
             np.negative(to, out=to)
-            s += (te > to).view(np.int8)
-            s -= (te < to).view(np.int8)
-            counts[r0:r1, g0:g1] = s.sum(axis=0, dtype=np.int16).reshape(r1 - r0, -1)
-    return (counts * rings.pair_weights).sum(axis=1)
+            np.greater(te, to, out=tile.more[0])
+            np.less(te, to, out=tile.less[0])
+        np.subtract(tile.more8, tile.less8, out=tile.signs)
+        if tile.centre is not None:
+            tile.centre[...] = 0
+        # the two half rings first, then one sum over n_phi/2 rows
+        np.add(tile.signs[0], tile.signs[1], out=tile.signs[0])
+        np.sum(tile.signs[0], axis=0, dtype=tile.ring_counts.dtype, out=tile.ring_counts)
+        tile.counts[...] = tile.counts_rg
+    counts = work.counts[:n]
+    np.multiply(counts, rings.pair_weights, out=counts)
+    return counts.sum(axis=1)
 
 
 _BATCH = 64
@@ -376,33 +501,44 @@ def _spectral_defects(d: int, l: int, grid: QuadratureGrid, master_seed: int,
     starts = range(0, n_realizations, _BATCH)
     pending, lock, failed = iter(starts), threading.Lock(), []
 
-    def work() -> None:
-        # batches from the shared iterator until it runs out or one fails
-        while True:
-            with lock:
-                lo = None if failed else next(pending, None)
-            if lo is None:
-                return
-            try:
+    def work(done: threading.Event) -> None:
+        # batches from the shared iterator until it runs out or one fails,
+        # all in one workspace; done is set however the worker ends
+        try:
+            space = _Workspace(rings, min(_BATCH, n_realizations))
+            while True:
+                with lock:
+                    lo = None if failed else next(pending, None)
+                if lo is None:
+                    return
                 indices = range(start + lo, start + min(lo + _BATCH, n_realizations))
                 a = _draws(key, indices, rings.sigma, rings.slot.size)
-                defects[lo:lo + _BATCH] = _ring_defects(rings, a)
-            except BaseException as exc:  # the caller re-raises the first
-                failed.append(exc)
+                defects[lo:lo + _BATCH] = _ring_defects(rings, a, space)
+        except BaseException as exc:  # the caller re-raises the first
+            failed.append(exc)
+        finally:
+            done.set()
 
     workers = min(_cores(), len(starts))
     with _one_blas_thread() if workers > 1 else contextlib.nullcontext(False) as limited:
-        threads = [threading.Thread(target=work) for _ in range(workers if limited else 1)]
+        done = [threading.Event() for _ in range(workers if limited else 1)]
+        threads = [threading.Thread(target=work, args=(event,)) for event in done]
         try:
             for thread in threads:
                 thread.start()
-            for thread in threads:
-                thread.join()
+            for event in done:
+                event.wait()
         except BaseException as exc:  # an interrupt: no batch starts, running ones end
+            # an interrupted Thread.join would mark its thread stopped while
+            # it runs, where an interrupted Event.wait can simply wait again;
+            # a thread whose start() was interrupted may be starting still
             failed.insert(0, exc)
-            for thread in threads:
-                if thread.is_alive():
-                    thread.join()
+            for thread, event in zip(threads, done):
+                while not event.wait(0.1) and thread.is_alive():
+                    pass
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
     if failed:
         raise failed[0]
     return defects
@@ -429,7 +565,7 @@ def sample_field(d: int, l: int, grid: QuadratureGrid,
     rings = _sample_rings(d, l, grid)
     a = rng.normal(0.0, rings.sigma, rings.slot.size)
     values = np.empty(grid.size)
-    _ring_defects(rings, a[None, :], values.reshape(1, -1, grid.n_phi))
+    _ring_defects(rings, a[None, :], None, values.reshape(1, -1, grid.n_phi))
     half = grid.size // 2
     values[grid.antipode_index[:half]] = (-1.0) ** l * values[:half]
     return FieldSample(d=d, l=l, grid=grid, values=values)
