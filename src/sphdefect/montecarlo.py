@@ -88,7 +88,7 @@ import numpy as np
 
 from .chaos import exact_variance
 from .harmonics import build_basis
-from .specfun import ndtr, ndtri, sphere_surface
+from .specfun import sphere_surface
 from .spherequad import QuadratureGrid, build_grid
 
 __all__ = [
@@ -596,19 +596,24 @@ def wasserstein1_empirical(samples) -> float:
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size < 2:
         raise ValueError("need at least 2 samples")
+    import statistics  # loads fractions and decimal: only when asked for
+
+    inv_cdf = statistics.NormalDist().inv_cdf
     u = (np.arange(1, x.size + 1) - 0.5) / x.size
-    return float(np.mean(np.abs(x - ndtri(u))))
+    q = np.array([inv_cdf(v) for v in u.tolist()])
+    return float(np.mean(np.abs(x - q)))
 
 
 def _ks_normal(z: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance sup |F_N - Phi| of a sample to N(0,1).
 
     The supremum sits at a sorted sample point z_(i), just after the jump
-    (i/N - Phi) or just before it (Phi - (i-1)/N).  These are the
-    operations of SciPy's two-sided kstest(z, "norm"), and specfun.ndtr is
-    scipy.special.ndtr to the bit, so the value is the same to the bit.
+    (i/N - Phi) or just before it (Phi - (i-1)/N), as in SciPy's two-sided
+    kstest(z, "norm"); Phi(x) = erfc(-x/sqrt 2)/2 keeps its relative
+    accuracy in the lower tail.
     """
-    c = ndtr(np.sort(z))
+    root2 = math.sqrt(2.0)
+    c = np.array([0.5 * math.erfc(-v / root2) for v in np.sort(z).tolist()])
     n = c.size
     return float(max(np.max(np.arange(1.0, n + 1) / n - c),
                      np.max(c - np.arange(0.0, n) / n)))

@@ -23,9 +23,10 @@ so the S^3 polar factors C_n^(L+1) are G_{n;2L+3}.
 The numerical building blocks the package needs are here too, on numpy and
 ``math`` alone: the unnormalised DCTs of types I-III on numpy's real FFT
 (Makhoul, IEEE TASSP 1980) with their fast lengths, the Hurwitz zeta
-function by Euler-Maclaurin summation, the standard normal distribution
-function and its inverse (Moshier's Cephes ``ndtr`` and ``ndtri``), and
-Bessel functions J_nu of order nu in {0, 1/2, 1, 3/2, ...}.
+function by Euler-Maclaurin summation, and Bessel functions J_nu of order
+nu in {0, 1/2, 1, 3/2, ...}.  The standard normal distribution the Monte
+Carlo statistics need comes from ``math.erfc`` and
+``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "eigenspace_dim",
     "gegenbauer",
     "hurwitz_zeta",
-    "ndtr",
-    "ndtri",
     "next_fast_len",
     "scaled_bessel",
     "sphere_surface",
@@ -541,243 +540,3 @@ def hurwitz_zeta(s: float, a: float) -> float:
             break
         term *= (s + 2 * j - 1) * (s + 2 * j) / (x * x)
     return math.fsum([(a + k) ** -s for k in range(n)] + [total])
-
-
-# Moshier's Cephes ndtr (with its erf and erfc) and ndtri, operation for
-# operation: Horner in the same order, exp and log per element from math
-# (the C library's; numpy's vectorised exp and log differ in the last bit
-# on a few inputs), so the results equal scipy.special.ndtr and ndtri.
-_SQRT1_2 = 7.07106781186547524401E-1
-_MAXLOG = 7.09782712893383996843E2
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-          7.00332514112805075473E3, 5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-          2.26290000613890934246E4, 4.92673942608635921086E4)
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-             1.39312609387279679503E1, -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _polevl(x, coef, monic: bool = False):
-    """Cephes polevl, Horner from the leading coefficient, or p1evl with an
-    implied leading 1 when ``monic``; x a float or an array."""
-    p = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        p = p * x + c
-    return p
-
-
-def _per_element(f, x: np.ndarray) -> np.ndarray:
-    return np.array([f(v) for v in x.tolist()], dtype=float).reshape(x.shape)
-
-
-def _erf_small(x: np.ndarray) -> np.ndarray:
-    """Cephes erf for |x| <= 1."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
-
-
-def _erfc_positive(a: np.ndarray) -> np.ndarray:
-    """Cephes erfc for a >= 0."""
-    out = np.zeros_like(a)
-    near = a < 1.0
-    out[near] = 1.0 - _erf_small(a[near])
-    with np.errstate(over="ignore"):
-        mid = ~near & (-a * a >= -_MAXLOG)  # beyond: 0 (underflow)
-    x = a[mid]
-    far = x >= 8.0
-    p, q = np.empty_like(x), np.empty_like(x)
-    p[~far] = _polevl(x[~far], _ERFC_P)
-    q[~far] = _polevl(x[~far], _ERFC_Q, monic=True)
-    p[far] = _polevl(x[far], _ERFC_R)
-    q[far] = _polevl(x[far], _ERFC_S, monic=True)
-    out[mid] = _per_element(math.exp, -x * x) * p / q
-    return out
-
-
-def ndtr(a) -> np.ndarray:
-    """Standard normal distribution function Phi(a), elementwise; equals
-    scipy.special.ndtr to the bit (Cephes: 0.5 + 0.5 erf(a/sqrt 2) while
-    |a/sqrt 2| < 1/sqrt 2, the erfc form beyond)."""
-    x = np.asarray(a, dtype=float) * _SQRT1_2
-    z = np.abs(x)
-    y = np.full_like(x, np.nan)
-    inner = z < _SQRT1_2
-    y[inner] = 0.5 + 0.5 * _erf_small(x[inner])
-    outer = z >= _SQRT1_2
-    half = 0.5 * _erfc_positive(z[outer])
-    y[outer] = np.where(x[outer] > 0, 1.0 - half, half)
-    return y
-
-
-def ndtri(y0) -> np.ndarray:
-    """Inverse Phi^-1(y0) of the standard normal distribution function,
-    elementwise; equals scipy.special.ndtri to the bit (Cephes: a rational
-    function of y - 1/2 for exp(-2) < y < 1 - exp(-2), of 1/sqrt(-2 log y)
-    in the tails; -inf at 0, inf at 1, nan outside [0, 1])."""
-    y0 = np.asarray(y0, dtype=float)
-    out = np.full_like(y0, np.nan)
-    out[y0 == 0.0] = -np.inf
-    out[y0 == 1.0] = np.inf
-    inside = (y0 > 0.0) & (y0 < 1.0)
-    y = y0[inside]
-    upper = y > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - y, y)
-    centre = y > _EXP_M2
-    x = np.empty_like(y)
-    c = y[centre] - 0.5
-    c2 = c * c
-    ratio = c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0, monic=True)
-    x[centre] = (c + c * ratio) * _S2PI
-    r = np.sqrt(-2.0 * _per_element(math.log, y[~centre]))
-    r0 = r - _per_element(math.log, r) / r
-    z = 1.0 / r
-    near = r < 8.0
-    r1 = np.where(near, z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, monic=True),
-                  z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, monic=True))
-    x[~centre] = np.where(upper[~centre], r0 - r1, r1 - r0)
-    out[inside] = x
-    return out
-
-
-# Cephes Gamma, reciprocal Gamma, log-Gamma and Beta, operation for
-# operation as SciPy's xsf library evaluates them, for scalars.  Only the
-# power-series coefficient of P_n near 0 uses them, so that gauss_legendre
-# keeps scipy.special.roots_legendre's nodes and weights to the bit.
-_MAXGAM = 171.624376956302725
-_GAMMA_P = (1.60119522476751861407E-4, 1.19135147006586384913E-3, 1.04213797561761569935E-2,
-            4.76367800457137231464E-2, 2.07448227648435975150E-1, 4.94214826801497100753E-1,
-            9.99999999999999996796E-1)
-_GAMMA_Q = (-2.31581873324120129819E-5, 5.39605580493303397842E-4, -4.45641913851797240494E-3,
-            1.18139785222060435552E-2, 3.58236398605498653373E-2, -2.34591795718243348568E-1,
-            7.14304917030273074085E-2, 1.00000000000000000320E0)
-_STIRLING = (7.87311395793093628397E-4, -2.29549961613378126380E-4, -2.68132617805781232825E-3,
-             3.47222221605458667310E-3, 8.33333333333482257126E-2)
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
-           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
-_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
-           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
-_LGAM_C = (-3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
-           -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6)
-_RGAMMA_R = (3.13173458231230000000E-17, -6.70718606477908000000E-16, 2.20039078172259550000E-15,
-             2.47691630348254132600E-13, -6.60074100411295197440E-12, 5.13850186324226978840E-11,
-             1.08965386454418662084E-9, -3.33964630686836942556E-8, 2.68975996440595483619E-7,
-             2.96001177518801696639E-6, -8.04814124978471142852E-5, 4.16609138709688864714E-4,
-             5.06579864028608725080E-3, -6.41925436109158228810E-2, -4.98558728684003594785E-3,
-             1.27546015610523951063E-1)
-
-
-def _cephes_gamma(x: float) -> float:
-    """Gamma(x) for -33 < x < 171.6, x not 0, -1, -2, ..."""
-    if x > 33.0:  # Stirling's formula
-        w = 1.0 / x
-        w = 1.0 + w * _polevl(w, _STIRLING)
-        y = math.exp(x)
-        if x > 143.01608:  # pow would overflow
-            v = x ** (0.5 * x - 0.25)
-            y = v * (v / y)
-        else:
-            y = x ** (x - 0.5) / y
-        return 2.50662827463100050242E0 * y * w
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 0.0:
-        z /= x
-        x += 1.0
-    while x < 2.0:
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
-
-
-def _cephes_lgam(x: float) -> tuple[float, int]:
-    """(log|Gamma(x)|, sign of Gamma(x)) for -34 < x <= 1e8, x not 0, -1, ..."""
-    if x < 13.0:
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        sign = -1 if z < 0.0 else 1
-        z = abs(z)
-        if u == 2.0:
-            return math.log(z), sign
-        x += p - 2.0
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C, monic=True), sign
-    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # log sqrt(2 pi)
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-              + 0.0833333333333333333333) / x
-    else:
-        q += _polevl(p, _LGAM_A) / x
-    return q, 1
-
-
-def _cephes_rgamma(x: float) -> float:
-    """1/Gamma(x) for 0 < x < 171.6."""
-    if x > 4.0:
-        return 1.0 / _cephes_gamma(x)
-    z, w = 1.0, x
-    while w > 1.0:
-        w -= 1.0
-        z *= w
-    if w == 1.0:
-        return 1.0 / z
-    t = 4.0 * w - 2.0  # Chebyshev series of 1/(w Gamma(w)) - 1 on [0, 1]
-    b0, b1, b2 = _RGAMMA_R[0], 0.0, 0.0
-    for c in _RGAMMA_R[1:]:
-        b2, b1 = b1, b0
-        b0 = t * b1 - b2 + c
-    return w * (1.0 + 0.5 * (b0 - b2)) / z
-
-
-def _cephes_beta(a: float, b: float) -> float:
-    """B(a, b) for 1 <= a < 1e6 and 0 < |b| < 1: by Gamma functions while
-    a + b < 171.6, by log-Gamma beyond."""
-    y = a + b
-    if y > _MAXGAM or a > _MAXGAM:
-        ly, sy = _cephes_lgam(y)
-        lb, sb = _cephes_lgam(b)
-        la, sa = _cephes_lgam(a)
-        return sy * sb * sa * math.exp(la + (lb - ly))
-    y = _cephes_rgamma(y)
-    ga, gb = _cephes_gamma(a), _cephes_gamma(b)
-    if abs(abs(ga * y) - 1.0) > abs(abs(y * gb) - 1.0):
-        return ga * (y * gb)
-    return (ga * y) * gb

@@ -18,12 +18,11 @@ lam = (d-1)/2,
 
 so one DCT of the coefficients (specfun.dct, on numpy's real FFT) gives G
 at the exact rule angles (DCT-III on Fejer rules, DCT-I on Chebyshev ones),
-in place of l recurrence steps per node.  Gauss-Legendre node generation
-is a dense O(n^3) eigenvalue solve plus the Newton step of
-scipy.special.roots_legendre, whose nodes and weights it reproduces to the
-bit; it serves the moderate orders of the product grids and the Bessel
-lobe panels.  Adaptive angle-space integrals run Fejer rules at every
-size.  Every interval rule is a (nodes, weights) pair of arrays.
+in place of l recurrence steps per node.  Gauss-Legendre rules come from
+Newton's method on the three-term recurrence, O(n^2) and converged to
+rounding; they serve the moderate orders of the product grids and the
+Bessel lobe panels.  Adaptive angle-space integrals run Fejer rules at
+every size.  Every interval rule is a (nodes, weights) pair of arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (_cephes_beta, _gegenbauer_evaluator, dct, next_fast_len, powers_dot,
-                      sphere_surface)
+from .specfun import _gegenbauer_evaluator, dct, next_fast_len, powers_dot
 
 __all__ = [
     "QuadratureGrid",
@@ -55,83 +53,52 @@ def _symmetric(x: np.ndarray, w: np.ndarray):
     return (x - x[::-1]) / 2, (w + w[::-1]) / 2
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_(n-1)(x), P_n(x)) for n >= 1, operation for operation as
-    scipy.special.eval_legendre computes each.
-
-    For |x| >= 1e-5 the recurrence in the differences d_k = P_k - P_(k-1),
-    d_(k+1) = ((2k+1)/(k+1)) (x-1) P_k + (k/(k+1)) d_k, whose steps for
-    P_(n-1) are the first ones for P_n.  It loses relative accuracy as
-    x -> 0, so below (the centre node of odd n), the power series from its
-    lowest term, :func:`_legendre_near_zero`.
-    """
-    x_1 = x - 1.0
-    prev, p, d, t = np.ones_like(x), x.copy(), x_1.copy(), np.empty_like(x)
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_(n-1)(x), P_n(x)) for n >= 1 by the three-term recurrence, in
+    the form P_(k+1) = t + (k/(k+1)) (t - P_(k-1)), t = x P_k, in place."""
+    prev, p, t = np.ones_like(x), x.copy(), np.empty_like(x)
     for k in range(1, n):
-        np.multiply((2 * k + 1) / (k + 1), x_1, out=t)
-        t *= p
-        d *= k / (k + 1)
-        d += t
-        if k == n - 1:
-            prev = p.copy()
-        p += d
-    small = np.flatnonzero(np.abs(x) < 1e-5)
-    for m, values in ((n - 1, prev), (n, p)):
-        if m >= 2:
-            values[small] = [_legendre_near_zero(m, float(x[i])) for i in small]
+        np.multiply(x, p, out=t)
+        np.subtract(t, prev, out=prev)
+        prev *= k / (k + 1)
+        prev += t
+        prev, p = p, prev
     return prev, p
-
-
-def _legendre_near_zero(n: int, x: float) -> float:
-    """P_n(x) by its power series in x from the lowest power x^(n - 2a),
-    a = n // 2, whose coefficient is (-1)^a (-2)/B(a+1, -1/2) at even n and
-    (-1)^a 2/B(a+1, 1/2) at odd n (both (2a + n%2)! / (2^(2a) a! a!) up to
-    sign), each term the last times -2 x^2 k (2n - 2k + 1) /
-    ((n - 2k + 1)(n - 2k + 2))."""
-    a = n // 2
-    sign = -1.0 if a % 2 else 1.0
-    if n % 2:
-        d = sign * ((x + x) / _cephes_beta(a + 1.0, 0.5))
-    else:
-        d = sign * (-2.0 / _cephes_beta(a + 1.0, -0.5))
-    step = (x * x) * -2.0
-    p = 0.0
-    for k in range(a, -1, -1):
-        p += d
-        d *= k * step * (2 * n + 1 - 2 * k) / float((n - 2 * k + 1) * (n - 2 * k + 2))
-        if abs(d) < 1e-20 * abs(p):
-            break
-    return p
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre (nodes, weights) on [-1, 1], exactness degree
     2n - 1; the weights sum to 2.
 
-    Golub-Welsch with numpy.linalg.eigvalsh, then one Newton step on P_n
-    and the weights from P_(n-1) and P_n', step for step as
-    scipy.special.roots_legendre takes them, with P_n from
-    :func:`_legendre`.  Nodes and weights are exactly +-symmetric (used
-    for parity arguments).
+    Newton's method on P_n, run to convergence on the positive nodes from
+    Tricomi's guesses (1 - (n-1)/(8 n^3)) cos(pi (4k-1)/(4n+2)), with
+    P_n' = n (P_(n-1) - x P_n)/(1 - x^2) and the weights 2/((1 - x^2)
+    P_n'^2), taken at the root to first order in the last step (Hale &
+    Townsend, SIAM J. Sci. Comput. 2013).  The centre weight of odd n is
+    the closed form 2/(n P_(n-1)(0))^2, P_(n-1)(0)^2 = C(n-1, (n-1)/2)^2
+    / 4^(n-1), in exact integers.  The negative half is the mirror image,
+    so nodes and weights are exactly +-symmetric and the centre node is
+    0.0 (used for parity arguments).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    k = np.arange(1.0, n)
-    b = k * np.sqrt(1.0 / (4 * k * k - 1))
-    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    # one Newton step on P_n, P_n' = n (P_{n-1} - x P_n) / (1 - x^2), then
-    # w = 1/(P_{n-1} P_n') with both factors scaled to the middle of their
-    # log range
-    pm, pn = _legendre(n, x)
-    dp = (-n * x * pn + n * pm) / (1 - x ** 2)
-    x -= pn / dp
-    pm = _legendre(n, x)[0]
-    log_pm, log_dp = np.log(np.abs(pm)), np.log(np.abs(dp))
-    pm /= np.exp((log_pm.max() + log_pm.min()) / 2.)
-    dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)
-    x, w = _symmetric(x, 1.0 / (pm * dp))
-    w *= 2.0 / w.sum()
-    return x, w
+    k = np.arange(n // 2, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos((4.0 * k - 1.0) * (math.pi / (4 * n + 2)))
+    for _ in range(20):  # three steps from these guesses
+        pm, pn = _legendre_pair(n, x)
+        s = 1.0 - x * x
+        dp = n * (pm - x * pn) / s
+        dx = pn / dp
+        # w(x) = 2/(s dp^2) has d log w/dx = 2x/s at a root, and the root is x - dx
+        w = 2.0 / (s * dp * dp) * (1.0 + 2.0 * x * dx / s)
+        x -= dx
+        # the error left is about x dx^2/s, relative to x
+        if np.max(dx * dx / s, initial=0.0) <= 1e-20:
+            break
+    centre = [0.0] if n % 2 else []
+    weight = [(2 * 4 ** (n - 1)) / (n * math.comb(n - 1, n // 2)) ** 2] if n % 2 else []
+    return (np.concatenate([-x[::-1], centre, x]),
+            np.concatenate([w[::-1], weight, w]))
 
 
 def fejer_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

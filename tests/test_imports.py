@@ -6,7 +6,9 @@ cost about 0.38 s, so every fresh ``sphdefect`` process paid it before
 doing any work.  The sampler's OpenBLAS handle is looked up on its first
 call, not at import, and its workers are plain threads: neither import
 nor the sampler loads ``concurrent.futures`` or ``logging`` (5-8 ms of
-import) unless numpy loads it itself.
+import) unless numpy loads it itself, and import loads no ``statistics``
+(with ``fractions`` and ``decimal``), which only the Wasserstein-1
+statistic uses.
 
 Stale exports: every name a module lists in ``__all__`` exists on it, so a
 deletion that misses its export fails here.
@@ -33,12 +35,17 @@ def loaded():
     return " ".join(str(m in sys.modules) for m in {_POOL_MODULES!r})
 """
 
+# what the Wasserstein-1 statistic's statistics.NormalDist loads, 3.6-6 ms
+# of import after numpy; it is imported on the statistic's first call
+_LAZY_MODULES = ("statistics", "fractions", "decimal")
+
 _PROBE = """
 import sys
 import sphdefect
 import sphdefect.cli
 from sphdefect import (build_grid, c_coefficient, clt_experiment, constant_estimate,
                        exact_variance, gaunt_table, montecarlo, variance_closed_form)
+lazy = ",".join(m for m in """ + repr(_LAZY_MODULES) + """ if m in sys.modules)
 """ + _LOADED + """
 print(loaded(), montecarlo._openblas.cache_info().currsize)
 exact_variance(2, 40)
@@ -52,6 +59,7 @@ clt_experiment(3, 4, 200)
 print(loaded())
 build_grid(3, 20)
 print(",".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(lazy)
 """
 
 # what the package's own third-party imports load on their own
@@ -74,6 +82,10 @@ def _probe(code: str) -> tuple:
 
 def test_scipy_stays_unloaded():
     assert _probe(_PROBE)[2].strip() == ""
+
+
+def test_import_leaves_normal_distribution_unloaded():
+    assert _probe(_PROBE)[3] == ""
 
 
 def _unless_numpy_loads(line: str) -> list:

@@ -319,12 +319,12 @@ class TestRingSampler:
         assert all(np.array_equal(a, b) for a, b in zip(*values))
 
     # defects of realizations 0, 1, 2 of SEED on the default grids, from the
-    # sampler of version 0.4.0 (the parity-split tile); a kernel change that
-    # moves any of them changes the printed mc-clt numbers
+    # sampler and the Newton Gauss-Legendre rings of version 0.5.0; a kernel
+    # or rule change that moves any of them changes the printed mc-clt numbers
     @pytest.mark.parametrize("d,l,pinned", [
-        (2, 8, ["-0x1.8b8609cad7c92p-2", "0x1.2c487d99d6f47p-2", "0x1.d74e1b3af5f8ep-1"]),
-        (2, 40, ["0x1.76c014ce00c32p-5", "0x1.058bf1e574e00p-10", "-0x1.7aa1e0325b3cbp-6"]),
-        (3, 4, ["0x1.25e9efdc79742p+0", "-0x1.e058e5ca84bc6p-1", "0x1.6d9e46b2afb64p-3"]),
+        (2, 8, ["-0x1.8b8609cad79cfp-2", "0x1.2c487d99d730cp-2", "0x1.d74e1b3af5df0p-1"]),
+        (2, 40, ["0x1.76c014cdee5fep-5", "0x1.058bf1e2c3800p-10", "-0x1.7aa1e0322f721p-6"]),
+        (3, 4, ["0x1.25e9efdc797e6p+0", "-0x1.e058e5ca84b9cp-1", "0x1.6d9e46b2af620p-3"]),
     ])
     def test_pinned_defects(self, d, l, pinned):
         defects = _spectral_defects(d, l, build_grid(d, default_degree(l)), SEED, 3)
@@ -524,15 +524,47 @@ class TestWasserstein:
         with pytest.raises(ValueError):
             wasserstein1_empirical([1.0])
 
+    @pytest.mark.parametrize("n", [2, 7, 2000])
+    def test_inverse_phi_matches_mpmath(self, n):
+        # at the exact midpoint quantiles Phi^-1((i - 1/2)/n) = sqrt(2)
+        # erfinv(2i/n - 1 - 1/n), W1 is the mean error of Phi^-1 itself
+        import mpmath
+
+        with mpmath.workdps(40):
+            q = [mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(2 * i - 1) / n - 1)
+                 for i in range(1, n + 1)]
+            assert wasserstein1_empirical([float(v) for v in q]) <= 1e-15
+            x = np.sort(stream(9, n).standard_normal(n))
+            ref = float(mpmath.fsum(abs(mpmath.mpf(float(a)) - b) for a, b in zip(x, q)) / n)
+        assert wasserstein1_empirical(x) == pytest.approx(ref, rel=1e-14)
+
 
 class TestKolmogorovSmirnov:
     @pytest.mark.parametrize("n", [2, 10, 5000])
     def test_equals_scipy_kstest(self, n):
+        # to 1e-13 relative: Phi is math.erfc's, not SciPy's ndtr
         from scipy import stats
 
         diag = clt_experiment(3, 4, n, CltConfig(master_seed=SEED))
         z = diag.defects / math.sqrt(diag.exact_var)
-        assert diag.ks == stats.kstest(z, "norm").statistic
+        assert math.isclose(diag.ks, stats.kstest(z, "norm").statistic, rel_tol=1e-13)
+
+    def test_phi_matches_mpmath(self):
+        # one point z has the distance max(Phi(z), 1 - Phi(z)), so Phi is
+        # checked point by point, then the sup over a sample of 5000
+        import mpmath
+
+        z = np.concatenate([np.linspace(-9.0, 9.0, 721), stream(5, 0).standard_normal(300),
+                            [-37.5, -20.0, 0.0, 30.0]])
+        with mpmath.workdps(40):
+            for v in z:
+                p = mpmath.ncdf(float(v))
+                assert abs(montecarlo._ks_normal(np.array([v])) - float(max(p, 1 - p))) <= 2.3e-16
+            x = np.sort(stream(7, 0).standard_normal(5000))
+            c = [mpmath.ncdf(float(v)) for v in x]
+            ref = float(max(max(mpmath.mpf(i + 1) / x.size - c[i], c[i] - mpmath.mpf(i) / x.size)
+                            for i in range(x.size)))
+        assert montecarlo._ks_normal(x) == pytest.approx(ref, rel=1e-14)
 
 
 class TestCltExperiment:

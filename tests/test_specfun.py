@@ -8,8 +8,8 @@ from numpy.polynomial import legendre as npleg
 from scipy import special as sp
 
 from sphdefect.specfun import (GegenbauerEvaluator, ScaledBesselKernel, bessel_j, dct,
-                               eigenspace_dim, gegenbauer, hurwitz_zeta, ndtr, ndtri,
-                               next_fast_len, scaled_bessel, sphere_surface)
+                               eigenspace_dim, gegenbauer, hurwitz_zeta, next_fast_len,
+                               scaled_bessel, sphere_surface)
 from sphdefect.specfun import _BLOCK, _RECURRENCE_BLOCK, powers_dot
 
 
@@ -279,32 +279,6 @@ class TestBesselJ:
         for nu in (-0.5, 0.25, 1.1):
             with pytest.raises(ValueError):
                 bessel_j(nu, np.ones(2))
-
-
-class TestNormal:
-    """ndtr and ndtri equal SciPy's to the bit (the KS and W1 statistics
-    rest on it)."""
-
-    def test_ndtr_equals_scipy(self):
-        rng = np.random.default_rng(11)
-        x = np.concatenate([3.0 * rng.standard_normal(60_000), rng.uniform(-40.0, 40.0, 40_000),
-                            0.5 * rng.standard_normal(20_000),
-                            [0.0, -0.0, np.inf, -np.inf, np.nan, 38.0, -38.0, 38.5, -39.0, 1e300,
-                             -1e300, 1.0, -1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)]])
-        np.testing.assert_array_equal(ndtr(x), sp.ndtr(x))
-
-    def test_ndtri_equals_scipy(self):
-        rng = np.random.default_rng(12)
-        u = np.concatenate([rng.uniform(0.0, 1.0, 60_000), 10.0 ** rng.uniform(-300.0, 0.0, 30_000),
-                            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
-                            [0.0, 1.0, 1e-300, 5e-324, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0),
-                             -0.1, 1.1, np.nan]])
-        np.testing.assert_array_equal(ndtri(u), sp.ndtri(u))
-
-    @pytest.mark.parametrize("n", [2, 7, 2000, 100_000])
-    def test_ndtri_on_quantile_grids(self, n):
-        u = (np.arange(1, n + 1) - 0.5) / n
-        np.testing.assert_array_equal(ndtri(u), sp.ndtri(u))
 
 
 class TestFastTransforms:
