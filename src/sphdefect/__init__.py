@@ -44,7 +44,6 @@ from .spherequad import (
     cubic_integral,
     gauss_legendre,
     gegenbauer_moment,
-    geodesic,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .specfun import _gegenbauer_evaluator, eigenspace_dim, sphere_surface
-from .spherequad import QuadratureGrid, build_grid, cubic_integral
+from .spherequad import build_grid, cubic_integral
 
 __all__ = [
     "HarmonicBasis",
@@ -160,22 +160,6 @@ class HarmonicBasis:
         rows, big_l = slot % (2 * self.l + 1), slot // (2 * self.l + 1)
         azimuth = _azimuth(self.l, np.outer(np.arange(1, self.l + 1), phi))
         return polar[rows, big_l] * azimuth[rows]
-
-    def evaluate_on_grid(self, grid: QuadratureGrid) -> np.ndarray:
-        """Value matrix on a grid, with exact (-1)^l antipodal parity.
-
-        Only the primary half, the first N/2 points, is evaluated; the mirror
-        half is written as +-(that value), so Y(-x) = (-1)^l Y(x) holds to
-        the last bit and downstream antipodal cancellations are exact.
-        """
-        if grid.d != self.d:
-            raise ValueError(f"grid dimension {grid.d} != basis dimension {self.d}")
-        half = grid.size // 2
-        vals = self.evaluate(grid.points[:half])
-        out = np.empty((self.size, grid.size))
-        out[:, :half] = vals
-        out[:, grid.antipode_index[:half]] = (-1.0) ** self.l * vals
-        return out
 
     def ring_factors(self, polar_nodes, n_phi: int):
         """The basis on rings of a product grid, factored per ring.

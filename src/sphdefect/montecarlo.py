@@ -551,40 +551,42 @@ def _sample_rings(d: int, l: int, grid: QuadratureGrid) -> _Rings:
 
 
 def sample_field(d: int, l: int, grid: QuadratureGrid,
-                 rng: np.random.Generator | None = None) -> FieldSample:
+                 rng: np.random.Generator) -> FieldSample:
     """Draw one realization of the degree-l Gaussian field on the grid.
 
     a_m i.i.d. N(0, |S^d|/n) against the explicit basis, evaluated ring by
     ring on a build_grid grid as a batch of 1; the mirror half is written
-    as copies, so T(-x) = (-1)^l T(x) exactly.  The ring tables of
-    the last (d, l, grid) are kept, so repeated draws on one grid build
-    them once.
+    as copies by the antipodal ring rule, so T(-x) = (-1)^l T(x) exactly.
+    The ring tables of the last (d, l, grid) are kept, so repeated draws
+    on one grid build them once.
     """
-    if rng is None:
-        rng = stream(0, 0)
     rings = _sample_rings(d, l, grid)
     a = rng.normal(0.0, rings.sigma, rings.slot.size)
-    values = np.empty(grid.size)
-    _ring_defects(rings, a[None, :], None, values.reshape(1, -1, grid.n_phi))
-    half = grid.size // 2
-    values[grid.antipode_index[:half]] = (-1.0) ** l * values[:half]
-    return FieldSample(d=d, l=l, grid=grid, values=values)
+    values = np.empty((grid.ring_weights.size, grid.n_phi))
+    _ring_defects(rings, a[None, :], None, values[None])
+    n, half, s = values.shape[0], grid.n_phi // 2, (-1.0) ** l
+    values[::-1][:n // 2] = s * np.roll(values[:n // 2], half, axis=1)
+    if n % 2:  # the centre ring's second half mirrors its first
+        values[n // 2, half:] = s * values[n // 2, :half]
+    return FieldSample(d=d, l=l, grid=grid, values=values.ravel())
 
 
 def defect_estimate(sample: FieldSample) -> float:
     """sum_i w_i sign(T(x_i)), with sign(0) = 0.
 
-    The sum is grouped by antipodal pair, so the exact pointwise parity of
-    odd-l spectral samples cancels to exactly 0.0.
+    The sign counts of each antipodal ring pair are added before they are
+    weighted, so the exact pointwise parity of odd-l spectral samples
+    cancels to exactly 0.0.
     """
     grid = sample.grid
     if sample.values.shape != (grid.size,):
         raise ValueError("sample values and grid size disagree")
-    s = np.sign(sample.values)
-    half = grid.size // 2
-    mirror = grid.antipode_index[:half]
-    pair = grid.weights[:half] * s[:half] + grid.weights[mirror] * s[mirror]
-    return float(np.sum(pair))
+    counts = np.sign(sample.values).reshape(-1, grid.n_phi).sum(axis=1)
+    primary = (counts.size + 1) // 2
+    pairs = counts[:primary] + counts[::-1][:primary]
+    if counts.size % 2:
+        pairs[-1] = counts[primary - 1]
+    return float(np.sum(pairs * grid.ring_weights[:primary]))
 
 
 def wasserstein1_empirical(samples) -> float:

@@ -1,4 +1,4 @@
-"""Quadrature on [-1, 1] and on S^d, geodesics, and Gegenbauer moments.
+"""Quadrature on [-1, 1] and on S^d, and Gegenbauer moments.
 
 Everything here targets exactness: rule orders are always chosen from the
 polynomial degree of the integrand (k*l for k-th powers of a degree-l
@@ -27,7 +27,6 @@ every size.  Every interval rule is a (nodes, weights) pair of arrays.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,6 @@ __all__ = [
     "fejer_rule",
     "chebyshev_sqrt_rule",
     "build_grid",
-    "geodesic",
     "gegenbauer_moment",
     "gegenbauer_moment_table",
     "cubic_integral",
@@ -254,25 +252,6 @@ def cubic_integral(d: int, l: int) -> float:
     return gegenbauer_moment(d, l, 3, range="full")
 
 
-def geodesic(x, y) -> float:
-    """Geodesic distance arccos(<x, y>) between unit vectors, in [0, pi].
-
-    Inner products are clamped to [-1, 1] before arccos (rounding can push
-    |<x,x>| a few ulp above 1).  Non-unit inputs are rejected.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for v, name in ((x, "x"), (y, "y")):
-        norms = np.linalg.norm(v, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            raise ValueError(f"{name} is not a unit vector (|{name}| = {norms})")
-    dot = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
-    out = np.arccos(dot)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Product quadrature grid on S^2 or S^3, as built by :func:`build_grid`.
@@ -282,16 +261,15 @@ class QuadratureGrid:
     node on that axis, ``ring_weights[g]`` is the weight of every point of
     ring g, and each ring has the azimuths phi_j = 2 pi j / n_phi.
     exactness_degree: polynomials on R^(d+1) of total degree <= this
-    integrate exactly (to rounding) when restricted to the sphere.
+    integrate exactly (to rounding) when restricted to the sphere.  The N
+    points are numbered ring by ring, azimuth fastest within a ring.
 
-    The dense arrays are built from the layout on first access, and kept:
-    points, (N, d+1) unit vectors, ring by ring in polar multi-index order
-    (last axis fastest), azimuth fastest within a ring; weights, summing to
-    |S^d|; antipode_index[i], the index of the point -points[i] (the point
-    set is closed under the antipodal map with exactly equal weights, and
-    the mirrored coordinates are exact IEEE negations).  The first N/2
-    points are the primary half: i < antipode_index[i] exactly when
-    i < N/2.  Grids compare and hash by identity.
+    Antipodal ring rule: every polar node list is exactly +-symmetric, so
+    ring R-1-g has the negated cos nodes of ring g and exactly its weight,
+    and the antipode of point (g, j) is (R-1-g, j + n_phi/2 mod n_phi):
+    ring R-1-g is ring g turned by half a ring.  For odd R the centre ring
+    is its own image.  The first N/2 points are the primary half.  Grids
+    compare and hash by identity.
     """
 
     d: int
@@ -303,33 +281,6 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.ring_weights.size * self.n_phi
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        d, n_phi, rings = self.d, self.n_phi, self.ring_weights.size
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        points = np.empty((rings, n_phi, d + 1))
-        sin_prod = np.ones(rings)
-        for j, t in enumerate(self.ring_nodes):
-            points[:, :, j] = (sin_prod * t)[:, None]
-            sin_prod = sin_prod * np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        points[:, :, d - 1] = np.outer(sin_prod, np.cos(phi))
-        points[:, :, d] = np.outer(sin_prod, np.sin(phi))
-        points = points.reshape(self.size, d + 1)
-        half = self.size // 2
-        points[self.antipode_index[:half]] = -points[:half]
-        return points
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        return np.repeat(self.ring_weights, self.n_phi)
-
-    @functools.cached_property
-    def antipode_index(self) -> np.ndarray:
-        # ring g's antipodal ring is R - 1 - g, phi shifted by n_phi/2
-        rings, n_phi = self.ring_weights.size, self.n_phi
-        return ((rings - 1 - np.arange(rings))[:, None] * n_phi
-                + (np.arange(n_phi) + n_phi // 2) % n_phi).ravel()
 
 
 # points a grid may have; build_grid refuses larger ones before any rule
@@ -359,13 +310,8 @@ def build_grid(d: int, degree: int) -> QuadratureGrid:
 
     Only the ring layout is built: rings in polar multi-index order (last
     axis fastest), the azimuth phi_j = 2 pi j / n_phi fastest within a
-    ring.  Every polar node list is exactly +-symmetric, so ring g's
-    antipodal ring is R - 1 - g with phi shifted by n_phi/2, and the first
-    N/2 points are the primary half.  The dense points, weights and
-    antipode index follow on first access; there the mirror half is
-    written as exact negations of the primary half, so parity
-    cancellations are exact.  The point count is checked against the
-    budget before any rule is built.
+    ring, under the antipodal ring rule of :class:`QuadratureGrid`.  The
+    point count is checked against the budget before any rule is built.
     """
     if d not in (2, 3):
         raise ValueError(f"product grids exist for d in {{2, 3}}, got d={d}")

@@ -8,9 +8,13 @@ import pytest
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["oscillatory_tail.py", "constant_two_routes.py"])
+# grid_resolution_bias.py (about 3.6 s) is left out for its run time
+@pytest.mark.parametrize("name", ["oscillatory_tail.py", "constant_two_routes.py",
+                                  "clt_convergence.py", "gaunt_identities.py",
+                                  "variance_asymptotics.py"])
 def test_demo_runs(name):
-    # these demos read chaos internals and result params, so they break first
+    # each demo calls the public API the way a user does, so a change to
+    # that API breaks them first
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)

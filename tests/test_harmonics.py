@@ -9,7 +9,9 @@ from sphdefect.harmonics import (GauntTable, build_basis, circulant_closed,
                                  circulant_sum, cum4_ratio, gaunt_diagonal,
                                  gaunt_table, lemcg_check)
 from sphdefect.specfun import eigenspace_dim, gegenbauer, sphere_surface
-from sphdefect.spherequad import build_grid, cubic_integral, gegenbauer_moment, geodesic
+from sphdefect.spherequad import build_grid, cubic_integral, gegenbauer_moment
+
+from dense_grid import dense_grid
 
 
 def _random_unit(rng, n, dim):
@@ -23,8 +25,8 @@ class TestBasis:
     def test_orthonormal_on_grid(self, d, l):
         basis = build_basis(d, l)
         assert basis.size == eigenspace_dim(d, l)
-        grid = build_grid(d, 2 * l)
-        b = basis.evaluate_on_grid(grid)
+        grid = dense_grid(build_grid(d, 2 * l))
+        b = grid.basis_matrix(basis)
         gram = (b * grid.weights) @ b.T
         assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
 
@@ -36,8 +38,7 @@ class TestBasis:
         y = _random_unit(rng, 60, d + 1)
         lhs = sphere_surface(d) / basis.size * np.sum(
             basis.evaluate(x) * basis.evaluate(y), axis=0)
-        rhs = np.array([gegenbauer(d, l, math.cos(geodesic(a, b)))
-                        for a, b in zip(x, y)])
+        rhs = gegenbauer(d, l, np.clip(np.sum(x * y, axis=1), -1.0, 1.0))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_addition_formula_coincident(self):
@@ -50,18 +51,24 @@ class TestBasis:
 
     @pytest.mark.parametrize("d,l", [(2, 5), (2, 6), (3, 4), (3, 7)])
     def test_parity_exact_on_antipodal_grid(self, d, l):
+        # Y(-x) = (-1)^l Y(x) on the grid's rings: the polar factors of ring
+        # R-1-g are (-1)^(l+k) times those of ring g to the bit, k the
+        # azimuthal order of the row, and the azimuth rows pick up (-1)^k
+        # half a ring on, to rounding
         grid = build_grid(d, max(2 * l, 2))
-        b = build_basis(d, l).evaluate_on_grid(grid)
-        mirrored = b[:, grid.antipode_index]
-        # bitwise: mirror values are produced by exact negation, not
-        # re-evaluation
-        assert np.array_equal(mirrored, (-1.0) ** l * b)
+        polar, azimuth, _ = build_basis(d, l).ring_factors(grid.ring_nodes, grid.n_phi)
+        k = (np.arange(2 * l + 1) + 1) // 2
+        assert np.array_equal(polar[:, :, ::-1], ((-1.0) ** (l + k))[:, None, None] * polar)
+        turned = np.roll(azimuth, grid.n_phi // 2, axis=1)
+        assert np.max(np.abs(turned - ((-1.0) ** k)[:, None] * azimuth)) <= 1e-15
 
     def test_evaluate_matches_grid_path(self):
-        grid = build_grid(2, 10)
+        # evaluate at every point against the dense oracle, whose mirror half
+        # is the primary half's exact (-1)^l copy
+        grid = dense_grid(build_grid(2, 10))
         basis = build_basis(2, 4)
         direct = basis.evaluate(grid.points)
-        via_grid = basis.evaluate_on_grid(grid)
+        via_grid = grid.basis_matrix(basis)
         assert np.max(np.abs(direct - via_grid)) < 1e-13
 
     @pytest.mark.parametrize("d,l,degree", [(2, 7, 16), (2, 12, 30), (3, 5, 12), (3, 8, 17)])
@@ -81,7 +88,7 @@ class TestBasis:
         coords = [np.repeat(x, grid.n_phi) for x in coords]
         coords += [np.outer(sin_prod, np.cos(phi)).ravel(),
                    np.outer(sin_prod, np.sin(phi)).ravel()]
-        points = np.vstack([grid.points, np.stack(coords, axis=1)])
+        points = np.vstack([dense_grid(grid).points, np.stack(coords, axis=1)])
         basis = build_basis(d, l)
         polar, azimuth, slot = basis.ring_factors(nodes, grid.n_phi)
         big_l, m = np.divmod(slot, 2 * l + 1)
@@ -117,8 +124,8 @@ class TestGauntTable:
         # the ring sums against the direct weighted triple product over every
         # point of the dense grid, with the same selection-rule zeros
         basis = build_basis(d, l)
-        grid = build_grid(d, 3 * l)
-        b = basis.evaluate_on_grid(grid)
+        grid = dense_grid(build_grid(d, 3 * l))
+        b = grid.basis_matrix(basis)
         bw = b * grid.weights
         ref = np.stack([(bw[i] * b) @ b.T for i in range(basis.size)])
         got = gaunt_table(d, l).coefficients

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphdefect import montecarlo
@@ -21,6 +21,8 @@ from sphdefect.montecarlo import (CltConfig, FieldSample, clt_experiment,
 from sphdefect.montecarlo import _spectral_defects
 from sphdefect.specfun import gegenbauer, sphere_surface
 from sphdefect.spherequad import build_grid
+
+from dense_grid import dense_grid
 
 SEED = 618970
 
@@ -115,7 +117,8 @@ class TestFieldSamples:
         # E T(x) T(y) = G_l(cos d(x,y)) for an arbitrary node pair
         grid = build_grid(2, 30)
         i, j = 3, 200
-        t = float(np.clip(grid.points[i] @ grid.points[j], -1, 1))
+        points = dense_grid(grid).points
+        t = float(np.clip(points[i] @ points[j], -1, 1))
         target = gegenbauer(2, 6, t)
         prods = np.array([
             (lambda v: v[i] * v[j])(sample_field(2, 6, grid,
@@ -131,7 +134,8 @@ class TestFieldSamples:
         l, degree, n = 8, nyquist_degree(8), 900
         grid = build_grid(2, degree)
         var_exact = exact_variance(2, l, tol=1e-6).value
-        k = gegenbauer(2, l, np.clip(grid.points @ grid.points.T, -1.0, 1.0))
+        points = dense_grid(grid).points
+        k = gegenbauer(2, l, np.clip(points @ points.T, -1.0, 1.0))
         # K has rank n_{l;d} < grid size: escalate a jitter until it factors
         scale = float(np.trace(k)) / grid.size
         for jitter in (0.0, 1e-12, 1e-10, 1e-8):
@@ -211,18 +215,26 @@ class TestRingSampler:
                                             (3, 5, 20), (3, 12, 20)])
     def test_values_match_dense_basis(self, d, l, degree):
         grid = build_grid(d, degree)
+        oracle = dense_grid(grid)
         basis = build_basis(d, l)
-        dense = basis.evaluate_on_grid(grid)
+        dense = oracle.basis_matrix(basis)
         sigma = math.sqrt(sphere_surface(d) / basis.size)
+        half = grid.size // 2
+        mirror = oracle.antipode_index[:half]
         for i in range(3):
-            values = sample_field(d, l, grid, rng=stream(SEED, i)).values
+            sample = sample_field(d, l, grid, rng=stream(SEED, i))
+            values = sample.values
             a = stream(SEED, i).normal(0.0, sigma, basis.size)
             assert np.max(np.abs(values - a @ dense)) <= 1e-12
             # a few ulps of the dot product's scale sum_m |a_m Y_m(x)|
             # (at most 54 measured, at (2, 40, 179))
             scale = np.abs(a) @ np.abs(dense)
             assert np.all(np.abs(values - a @ dense) <= 64 * np.finfo(float).eps * scale)
-            assert np.array_equal(values[grid.antipode_index], (-1.0) ** l * values)
+            assert np.array_equal(values[oracle.antipode_index], (-1.0) ** l * values)
+            # the ring-form defect against the dense sum over antipodal pairs
+            s, w = np.sign(values), oracle.weights
+            pairs = w[:half] * s[:half] + w[mirror] * s[mirror]
+            assert abs(defect_estimate(sample) - np.sum(pairs)) <= 1e-14
 
     # rings (R) and half-ring azimuths (n_phi/2): (2, 30) 16 and 16,
     # (2, 32) 17 and 17, (2, 1) 1 and 2, (3, 20) 121 and 11, (3, 18) 100
@@ -236,7 +248,7 @@ class TestRingSampler:
         # count of one ring out of the defect
         grid = build_grid(d, degree)
         a = np.random.default_rng(degree).normal(size=(20, build_basis(d, l).size))
-        signs = np.sign(a @ build_basis(d, l).evaluate_on_grid(grid))
+        signs = np.sign(a @ dense_grid(grid).basis_matrix(build_basis(d, l)))
         signs = signs.reshape(a.shape[0], -1, grid.n_phi)
         for stack_width in (0, 1 << 10):
             with mock.patch.object(montecarlo, "_STACK_WIDTH", stack_width):
@@ -274,6 +286,29 @@ class TestRingSampler:
             grid = build_grid(d, degree)
             assert grid.ring_weights.size % 2 == 1
             assert all(t[t.size // 2] == 0.0 for t in grid.ring_nodes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), degree=st.integers(0, 60), l=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(d=2, degree=32, l=7, seed=0)
+    @example(d=3, degree=20, l=4, seed=0)
+    @example(d=2, degree=1, l=3, seed=0)
+    @example(d=3, degree=1, l=5, seed=0)
+    def test_antipodal_exactness(self, d, degree, l, seed):
+        # ring R-1-g turned by half a ring is (-1)^l times ring g to the bit,
+        # and so is a centre ring's second half against its first; odd l
+        # then gives defects of exactly 0.0 on both paths
+        grid = build_grid(d, degree)
+        sample = sample_field(d, l, grid, rng=stream(seed, 0))
+        values = sample.values.reshape(-1, grid.n_phi)
+        n, half, s = values.shape[0], grid.n_phi // 2, (-1.0) ** l
+        for g in range(n // 2):
+            assert np.array_equal(np.roll(values[n - 1 - g], half), s * values[g])
+        if n % 2:
+            assert np.array_equal(values[n // 2, half:], s * values[n // 2, :half])
+        if l % 2:
+            assert defect_estimate(sample) == 0.0
+            assert np.all(_spectral_defects(d, l, grid, seed, 3) == 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from([(2, 4, 24), (2, 5, 24), (2, 6, 26),

@@ -13,7 +13,9 @@ from sphdefect import spherequad
 from sphdefect.spherequad import (_ring_layout, _weight_rule, build_grid,
                                   chebyshev_sqrt_rule, cubic_integral, fejer_rule,
                                   gauss_legendre, gegenbauer_moment,
-                                  gegenbauer_moment_table, geodesic)
+                                  gegenbauer_moment_table)
+
+from dense_grid import dense_grid
 
 
 class TestIntervalRules:
@@ -205,37 +207,21 @@ class TestMoments:
             assert cubic_integral(d, l) == pytest.approx(expected, rel=1e-13)
 
 
-class TestGeodesic:
-    def test_known_angles(self):
-        e0 = np.array([1.0, 0.0, 0.0])
-        e1 = np.array([0.0, 1.0, 0.0])
-        assert geodesic(e0, e0) == 0.0
-        assert geodesic(e0, -e0) == pytest.approx(math.pi, rel=1e-15)
-        assert geodesic(e0, e1) == pytest.approx(math.pi / 2.0, rel=1e-15)
-
-    def test_near_antipodal_stability(self):
-        # cross-product form stays accurate where arccos loses digits
-        x = np.array([1.0, 0.0, 0.0])
-        eps = 1e-9
-        y = np.array([-math.cos(eps), math.sin(eps), 0.0])
-        assert geodesic(x, y) == pytest.approx(math.pi - eps, rel=1e-9)
-
-
 class TestGrid:
     def test_weights_positive_and_sum_to_surface(self):
         for d in (2, 3):
             grid = build_grid(d, 16)
-            assert np.all(grid.weights > 0)
-            assert np.sum(grid.weights) == pytest.approx(sphere_surface(d), rel=1e-13)
+            assert np.all(grid.ring_weights > 0)
+            assert grid.n_phi * np.sum(grid.ring_weights) == pytest.approx(
+                sphere_surface(d), rel=1e-13)
 
     def test_points_on_sphere(self):
-        grid = build_grid(2, 25)
-        norms = np.linalg.norm(grid.points, axis=1)
+        norms = np.linalg.norm(dense_grid(build_grid(2, 25)).points, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-14
 
     def test_polynomial_exactness(self):
         # x0^a x1^b moments on S^2 against the beta-function closed form
-        grid = build_grid(2, 14)
+        grid = dense_grid(build_grid(2, 14))
         for a in range(0, 7):
             for b in range(0, 7):
                 vals = grid.points[:, 0] ** a * grid.points[:, 1] ** b
@@ -248,7 +234,7 @@ class TestGrid:
 
     def test_gegenbauer_orthogonality_on_grid(self):
         # <G_l, G_k> over the sphere via the zonal product identity
-        grid = build_grid(2, 24)
+        grid = dense_grid(build_grid(2, 24))
         base = grid.points[0]
         t = np.clip(grid.points @ base, -1.0, 1.0)
         g4 = gegenbauer(2, 4, t)
@@ -267,16 +253,21 @@ class TestGrid:
     @example(d=3, degree=11)
     def test_antipodal_structure_exact(self, d, degree):
         grid = build_grid(d, degree)
+        # the antipodal ring rule: ring R-1-g has the negated cos nodes of
+        # ring g and exactly its weight
+        assert all(np.array_equal(t[::-1], -t) for t in grid.ring_nodes)
+        assert np.array_equal(grid.ring_weights[::-1], grid.ring_weights)
+        # its dense form: an involution without fixed points, pairing the
+        # first half of the points with the second; exact point negation,
+        # exactly equal weights on paired nodes
+        dense = dense_grid(grid)
         i = np.arange(grid.size)
-        anti = grid.antipode_index
-        # involution without fixed points, pairing the first half of the
-        # points with the second; exact point negation, exactly equal
-        # weights on paired nodes
+        anti = dense.antipode_index
         assert np.array_equal(anti[anti], i)
         assert np.all(anti != i)
         assert np.array_equal(i < anti, i < grid.size // 2)
-        assert np.array_equal(grid.points[anti], -grid.points)
-        assert np.array_equal(grid.weights[anti], grid.weights)
+        assert np.array_equal(dense.points[anti], -dense.points)
+        assert np.array_equal(dense.weights[anti], dense.weights)
         # the ring layout the grid carries is the helper's on the factor
         # rules: rings in polar multi-index order (last axis fastest), equal
         # weights within a ring summing to |S^d|, cos nodes equal to the
@@ -292,11 +283,11 @@ class TestGrid:
         assert np.array_equal(ring_weights, helper_weights)
         mesh = np.meshgrid(*[t for t, _ in rules], indexing="ij")
         assert all(np.array_equal(t, m.ravel()) for t, m in zip(nodes, mesh))
-        rings = grid.points.reshape(-1, grid.n_phi, d + 1)
+        rings = dense.points.reshape(-1, grid.n_phi, d + 1)
         assert rings.shape[0] == ring_weights.size == n_polar ** (d - 1)
-        assert np.array_equal(grid.weights.reshape(rings.shape[:2]),
+        assert np.array_equal(dense.weights.reshape(rings.shape[:2]),
                               np.repeat(ring_weights[:, None], grid.n_phi, axis=1))
-        assert np.sum(grid.weights) == pytest.approx(sphere_surface(d), rel=1e-13)
+        assert np.sum(dense.weights) == pytest.approx(sphere_surface(d), rel=1e-13)
         assert np.array_equal(rings[:, :, 0], np.repeat(nodes[0][:, None], grid.n_phi, axis=1))
         if d == 3:
             cos2 = rings[:, :, 1] / np.linalg.norm(rings[:, :, 1:], axis=2)
@@ -308,9 +299,10 @@ class TestGrid:
     @example(d=3, degree=20)
     def test_primary_indices_partition(self, d, degree):
         grid = build_grid(d, degree)
+        anti = dense_grid(grid).antipode_index
         primary = np.arange(grid.size // 2)
-        assert np.array_equal(primary, np.flatnonzero(np.arange(grid.size) < grid.antipode_index))
-        mirrored = grid.antipode_index[primary]
+        assert np.array_equal(primary, np.flatnonzero(np.arange(grid.size) < anti))
+        mirrored = anti[primary]
         together = np.sort(np.concatenate([primary, mirrored]))
         assert np.array_equal(together, np.arange(grid.size))
 
@@ -318,16 +310,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(3, 2000)
 
-    def test_dense_arrays_built_on_first_access(self):
+    def test_grid_holds_only_its_ring_layout(self):
         # 1281 polar rings x 2562 azimuths, under the 4M-point budget: the
-        # grid holds its ring layout, about 20 KB, and no dense array
+        # grid holds its ring layout, about 20 KB, and no per-point array
         grid = build_grid(2, 2560)
         assert grid.size == 1281 * 2562 == 3_281_922
-        assert not {"points", "weights", "antipode_index"} & set(vars(grid))
-        small = build_grid(3, 9)
-        assert small.points is small.points
-        assert {"points", "antipode_index"} <= set(vars(small))
-        assert small.points.shape == (small.size, 4)
+        assert set(vars(grid)) == {"d", "exactness_degree", "ring_nodes",
+                                   "ring_weights", "n_phi"}
+        assert sum(t.nbytes for t in (*grid.ring_nodes, grid.ring_weights)) == 2 * 1281 * 8
 
     def test_point_budget_checked_before_any_rule(self, monkeypatch):
         def no_rule(n):
