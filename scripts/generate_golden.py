@@ -74,7 +74,13 @@ def c_coeff_quadosc(d, q):
     def f(psi):
         return scaled_bessel_mp(d, psi) ** s * psi ** (d - 1)
 
-    return mp.quadosc(f, [0, mp.inf], zeros=lambda n: mp.besseljzero(nu, int(n)))
+    if q <= 3:
+        return mp.quadosc(f, [0, mp.inf], zeros=lambda n: mp.besseljzero(nu, int(n)))
+    # at large q the first-lobe peak has width ~ sqrt(d/q): cut that lobe
+    # at z_1 2^-k, k = 10..1, then the oscillatory tail from z_1
+    z1 = mp.besseljzero(nu, 1)
+    first = mp.quad(f, [0] + [z1 / 2 ** k for k in range(10, 0, -1)] + [z1])
+    return first + mp.quadosc(f, [z1, mp.inf], zeros=lambda n: mp.besseljzero(nu, int(n) + 1))
 
 
 def gen_c_coefficients():
@@ -82,7 +88,7 @@ def gen_c_coefficients():
     quad = {}
     for d in (2, 3, 4, 5):
         quad[str(d)] = {}
-        for q in (1, 2, 3):
+        for q in (1, 2, 3, 100, 400):
             quad[str(d)][str(q)] = float(c_coeff_quadosc(d, q))
             print(f"  c_({2*q+1};{d}) = {quad[str(d)][str(q)]}")
     # closed form and oscillatory quadrature must agree at oracle precision

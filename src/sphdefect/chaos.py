@@ -33,9 +33,10 @@ by that series and, independently, by the conditionally convergent integral
 both handled by lobe partition at the Bessel zeros plus repeated averaging
 of the alternating partial sums (plain upper-limit truncation diverges too
 slowly to be usable); all orders wanted form one (order x lobe) matrix of
-lobe sums, averaged in one call.  The Bessel zeros, and the last lobe rule
-with its Jt_d values, are kept per process (read-only).  Exact integer
-combinatorial inequalities of the fourth-moment analysis: facile_check.
+lobe sums, averaged in one call.  One lobe rule per (d, n_lobes), with its
+Jt_d values, is kept per process (read-only) and serves every order and
+both routes.  Exact integer combinatorial inequalities of the
+fourth-moment analysis: facile_check.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import (_gegenbauer_evaluator, _horner, _kernel, bessel_j, hurwitz_zeta,
-                      sphere_surface)
+from .specfun import (ScaledBesselKernel, _gegenbauer_evaluator, _horner, bessel_j,
+                      hurwitz_zeta, sphere_surface)
 from .spherequad import _half_angle_integral, gauss_legendre, gegenbauer_moment_table
 
 __all__ = [
@@ -366,16 +367,8 @@ def c3_closed(d: int) -> float:
 # repeated averaging (Euler transformation) of the alternating partial sums
 
 
-@functools.cache
 def _bessel_zeros(d: int, count: int) -> np.ndarray:
-    """The first ``count`` positive zeros of J_{d/2-1}, increasing (read-only)."""
-    zeros = math.pi * np.arange(1.0, count + 1) if d == 3 else _zeros(d / 2.0 - 1.0, count)
-    zeros.flags.writeable = False
-    return zeros
-
-
-def _zeros(nu: float, count: int) -> np.ndarray:
-    """The first ``count`` positive zeros of J_nu, nu in {0, 1/2, 1, ...}.
+    """The first ``count`` positive zeros of J_nu, nu = d/2 - 1, increasing.
 
     Consecutive zeros are more than pi/2 apart at every nu >= 0 (their gaps
     tend to pi from below at nu < 1/2 and from above at nu > 1/2) and
@@ -383,6 +376,7 @@ def _zeros(nu: float, count: int) -> np.ndarray:
     in a cell where J_nu changes sign.  (McMahon guesses alone are too far
     off for the first zeros at large order.)
     """
+    nu = d / 2.0 - 1.0
     k = np.arange(1, count + 1)
     beta = (k + nu / 2.0 - 0.25) * math.pi
     guess = beta - (4.0 * nu * nu - 1.0) / (8.0 * beta)
@@ -412,12 +406,6 @@ def _zeros(nu: float, count: int) -> np.ndarray:
     return z
 
 
-@functools.cache
-def _panel_rule(order: int):
-    """The Gauss-Legendre rule of one lobe panel."""
-    return gauss_legendre(order)
-
-
 @dataclass(frozen=True)
 class _LobeRule:
     """Shared nodes for integrals between consecutive Bessel zeros, with the
@@ -427,28 +415,30 @@ class _LobeRule:
     weights: np.ndarray
     lobe_id: np.ndarray
     kernel: np.ndarray
-    n_lobes: int
 
 
-# One entry: consecutive calls share a key (first_panels moves with q only
-# through ceil(2 sqrt((2q+1)/d))), and a rule holds ~2k nodes per array.
-# Call it positionally everywhere; keyword and positional keys differ.
-@functools.lru_cache(maxsize=1)
-def _lobe_rule(d: int, n_lobes: int, first_panels: int, gl_order: int) -> _LobeRule:
-    """Gauss-Legendre panels: ``first_panels`` equal ones up to the first
-    zero of J_{d/2-1}, then one per lobe up to zero ``n_lobes``."""
+_GL_ORDER = 32  # Gauss-Legendre nodes on every lobe panel
+
+
+@functools.cache
+def _lobe_rule(d: int, n_lobes: int) -> _LobeRule:
+    """Gauss-Legendre panels of order _GL_ORDER: the first lobe [0, z_1]
+    cut geometrically at z_1 4^-k, k = 6..1 (7 panels), then one panel per
+    lobe up to zero ``n_lobes`` of J_{d/2-1}.  Jt_d^(2q+1) peaks at 0 with
+    width about sqrt(d/q), so the graded cuts resolve it at every order q.
+    """
     zeros = _bessel_zeros(d, n_lobes)
-    x, w = _panel_rule(gl_order)
-    edges = np.concatenate([np.linspace(0.0, zeros[0], first_panels + 1), zeros[1:]])
-    lobe_of_edge = np.concatenate([np.zeros(first_panels, dtype=int),
-                                   np.arange(1, n_lobes)])
+    x, w = gauss_legendre(_GL_ORDER)
+    first = zeros[0] * 4.0 ** -np.arange(6, 0, -1)
+    edges = np.concatenate([[0.0], first, zeros])
+    lobe_of_edge = np.concatenate([np.zeros(first.size + 1, dtype=int), np.arange(1, n_lobes)])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (edges[:-1, None] + half[:, None] * (x + 1.0)).ravel()
     arrays = (nodes, (half[:, None] * w).ravel(),
-              np.repeat(lobe_of_edge, gl_order), _kernel(d)(nodes))
+              np.repeat(lobe_of_edge, _GL_ORDER), ScaledBesselKernel(d)(nodes))
     for a in arrays:
         a.flags.writeable = False
-    return _LobeRule(*arrays, n_lobes)
+    return _LobeRule(*arrays)
 
 
 _LEVELS, _DEFAULT_LOBES = 12, 72  # averaging levels; lobes of a series
@@ -481,18 +471,17 @@ def _c_batch(d: int, qs, n_lobes: int = _DEFAULT_LOBES) -> np.ndarray:
     qs = [int(q) for q in qs]
     if not qs or qs[0] < 1 or any(a >= b for a, b in zip(qs, qs[1:])):
         raise ValueError(f"need increasing orders q >= 1, got {qs}")
-    first_panels = max(8, int(math.ceil(2.0 * math.sqrt((2 * qs[-1] + 1) / d))))
-    rule = _lobe_rule(d, n_lobes, first_panels, 24)
+    rule = _lobe_rule(d, n_lobes)
     j = rule.kernel
     base = rule.weights * rule.nodes ** (d - 1)
     j2 = j * j
     power, cur = j, 1
-    lobes = np.empty((len(qs), rule.n_lobes))
+    lobes = np.empty((len(qs), n_lobes))
     for row, q in zip(lobes, qs):
         while cur < 2 * q + 1:
             power = power * j2
             cur += 2
-        row[:] = np.bincount(rule.lobe_id, base * power, minlength=rule.n_lobes)
+        row[:] = np.bincount(rule.lobe_id, base * power, minlength=n_lobes)
     return lobes
 
 
@@ -588,15 +577,15 @@ def constant_estimate(d: int, method: str = "series",
                                  "acceleration_levels": levels,
                                  "tail_completion": 2.0 * ss * tail})
     if method == "integral":
-        rule = _lobe_rule(d, n_lobes, 8, 32)
+        rule = _lobe_rule(d, n_lobes)
         j = np.clip(rule.kernel, -1.0, 1.0)
         f = rule.weights * rule.nodes ** (d - 1) * (np.arcsin(j) - j)
-        lobes = np.bincount(rule.lobe_id, f, minlength=rule.n_lobes)
+        lobes = np.bincount(rule.lobe_id, f, minlength=n_lobes)
         est, err, levels = _accelerate(lobes)
         value = 4.0 / math.pi * ss * float(est)
         err = 4.0 / math.pi * ss * float(err) + 2e-11 * abs(value)
         return ConstantEstimate(d, "integral", value, err,
-                                {"n_lobes": n_lobes, "gl_order": 32,
+                                {"n_lobes": n_lobes, "gl_order": _GL_ORDER,
                                  "acceleration_levels": levels})
     raise ValueError(f"unknown method {method!r}")
 

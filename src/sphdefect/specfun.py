@@ -359,7 +359,8 @@ _COS_EIGHTHS = (1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT
 
 def _jt_series(nu: float, x: np.ndarray, terms: int) -> np.ndarray:
     """sum_k (-x^2/4)^k / (k! (nu+1)_k), the power series of
-    Gamma(nu+1) (x/2)^(-nu) J_nu(x)."""
+    Gamma(nu+1) (x/2)^(-nu) J_nu(x).  For x < 2, where bessel_j and
+    ScaledBesselKernel use it, 16 terms leave less than 1/(17!)^2."""
     u = x * x / 4.0
     total = np.ones_like(x)
     term = np.ones_like(x)
@@ -461,12 +462,12 @@ def bessel_j(nu: float, x) -> np.ndarray:
 class ScaledBesselKernel:
     """Scaled Bessel kernel Jt_d(psi) = 2^nu Gamma(nu+1) J_nu(psi) psi^(-nu).
 
-    nu = d/2 - 1.  Jt_d(0) = 1 (removable singularity, handled by an even
-    power series for psi < 0.5 to relative 1e-14); |Jt_d| <= 1 on [0, inf).
-    d = 3 and 5 use closed trigonometric forms, other d :func:`bessel_j`.
+    nu = d/2 - 1.  Below psi = 2 the 16-term even power series of
+    :func:`bessel_j` (Jt_d(0) = 1, the removable singularity), beyond it
+    :func:`bessel_j`; |Jt_d| <= 1 on [0, inf).
     """
 
-    SERIES_CUT = 0.5
+    SERIES_CUT = 2.0
 
     def __init__(self, d: int):
         if d < 2:
@@ -480,36 +481,17 @@ class ScaledBesselKernel:
             raise ValueError("scaled Bessel kernel defined for psi >= 0 only")
         out = np.empty_like(psi_arr)
         small = psi_arr < self.SERIES_CUT
-        if np.any(small):
-            out[small] = self._series(psi_arr[small])
-        if np.any(~small):
-            out[~small] = self._large(psi_arr[~small])
+        out[small] = _jt_series(self.nu, psi_arr[small], 16)
+        big, nu = psi_arr[~small], self.nu
+        out[~small] = 2.0 ** nu * math.gamma(nu + 1.0) * bessel_j(nu, big) / big ** nu
         if np.ndim(psi) == 0:
             return float(out)
         return out
 
-    def _series(self, psi: np.ndarray) -> np.ndarray:
-        # 12 terms reach relative 1e-16 for psi < 0.5
-        return _jt_series(self.nu, psi, 12)
-
-    def _large(self, psi: np.ndarray) -> np.ndarray:
-        d = self.d
-        if d == 3:
-            return np.sin(psi) / psi
-        if d == 5:
-            return 3.0 * (np.sin(psi) - psi * np.cos(psi)) / psi**3
-        scale = 2.0 ** self.nu * math.gamma(self.nu + 1.0)
-        return scale * bessel_j(self.nu, psi) / psi ** self.nu
-
-
-@functools.cache
-def _kernel(d: int) -> ScaledBesselKernel:
-    return ScaledBesselKernel(d)
-
 
 def scaled_bessel(d: int, psi):
     """Jt_d(psi) = 2^(d/2-1) Gamma(d/2) J_{d/2-1}(psi) psi^(-(d/2-1)), psi >= 0."""
-    return _kernel(d)(psi)
+    return ScaledBesselKernel(d)(psi)
 
 
 # B_2j / (2j)!, j = 1..10: the Euler-Maclaurin weights

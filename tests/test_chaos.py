@@ -381,7 +381,7 @@ class TestCoefficients:
 
 
 class TestBesselZeros:
-    @pytest.mark.parametrize("d", [5, 9, 21, 41, 61])
+    @pytest.mark.parametrize("d", [3, 5, 9, 21, 41, 61])
     def test_half_integer_order_matches_mpmath(self, d):
         import mpmath
 
@@ -407,26 +407,17 @@ class TestBesselZeros:
         assert np.all(np.diff(zeros) > 0.0)
         assert np.max(np.abs(zeros - ref) / ref) <= 1e-13
 
-    def test_cached_zeros_refuse_writes(self):
-        from sphdefect.chaos import _bessel_zeros
-
-        zeros = _bessel_zeros(4, 10)
-        assert _bessel_zeros(4, 10) is zeros
-        with pytest.raises(ValueError):
-            zeros[0] = 0.0
-
 
 @pytest.fixture(scope="module")
 def fresh_c():
     """c_coefficient(d, q, full_output=True), d 2, 3 and q 1..40, each with
-    the zeros and lobe-rule caches emptied first."""
-    from sphdefect.chaos import _bessel_zeros, _lobe_rule
+    the lobe-rule cache emptied first."""
+    from sphdefect.chaos import _lobe_rule
 
     out = {}
     for d in (2, 3):
         for q in range(1, 41):
             _lobe_rule.cache_clear()
-            _bessel_zeros.cache_clear()
             out[d, q] = c_coefficient(d, q, full_output=True)
     return out
 
@@ -438,7 +429,7 @@ class TestLobeRule:
                                       st.sampled_from(["series", "integral"])),
                             max_size=4))
     def test_cached_rule_gives_fresh_values(self, fresh_c, d, order, between):
-        # constant_estimate calls evict the one cached rule mid-loop
+        # constant_estimate calls build or reuse other rules mid-loop
         calls = {i: (dc, method) for i, dc, method in between}
         for i, q in enumerate(order):
             if i in calls:
@@ -450,47 +441,46 @@ class TestLobeRule:
     def test_rule_arrays_refuse_writes(self):
         from sphdefect.chaos import _lobe_rule
 
-        rule = _lobe_rule(3, 12, 8, 24)
+        rule = _lobe_rule(3, 12)
         for name in ("nodes", "weights", "lobe_id", "kernel"):
             with pytest.raises(ValueError):
                 getattr(rule, name)[0] = 0
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_matches_panel_by_panel_construction(self, d):
+        # the first lobe cut at z_1 4^-k, k = 6..1, then one panel per lobe,
+        # Gauss-Legendre of order 32 on each
         from sphdefect.chaos import _bessel_zeros, _lobe_rule
         from sphdefect.specfun import ScaledBesselKernel
         from sphdefect.spherequad import gauss_legendre
 
         zeros = _bessel_zeros(d, 30)
-        for first_panels in (8, 13, 41):
-            edges = np.concatenate([np.linspace(0.0, zeros[0], first_panels + 1), zeros[1:]])
-            owner = [0] * first_panels + list(range(1, 30))
-            for order in (24, 32):
-                x, w = gauss_legendre(order)
-                nodes, weights, lobe_id = [], [], []
-                for a, b, lobe in zip(edges[:-1], edges[1:], owner):
-                    half = 0.5 * (b - a)
-                    nodes.append(a + half * (x + 1.0))
-                    weights.append(half * w)
-                    lobe_id.append(np.full(order, lobe))
-                rule = _lobe_rule(d, 30, first_panels, order)
-                assert rule.n_lobes == 30
-                assert np.array_equal(rule.nodes, np.concatenate(nodes))
-                assert np.array_equal(rule.weights, np.concatenate(weights))
-                assert np.array_equal(rule.lobe_id, np.concatenate(lobe_id))
-                assert np.array_equal(rule.kernel, ScaledBesselKernel(d)(rule.nodes))
+        edges = [0.0] + [zeros[0] * 4.0 ** -k for k in range(6, 0, -1)] + list(zeros)
+        owner = [0] * 7 + list(range(1, 30))
+        x, w = gauss_legendre(32)
+        nodes, weights, lobe_id = [], [], []
+        for a, b, lobe in zip(edges[:-1], edges[1:], owner):
+            half = 0.5 * (b - a)
+            nodes.append(a + half * (x + 1.0))
+            weights.append(half * w)
+            lobe_id.append(np.full(32, lobe))
+        rule = _lobe_rule(d, 30)
+        assert np.array_equal(rule.nodes, np.concatenate(nodes))
+        assert np.array_equal(rule.weights, np.concatenate(weights))
+        assert np.array_equal(rule.lobe_id, np.concatenate(lobe_id))
+        assert np.array_equal(rule.kernel, ScaledBesselKernel(d)(rule.nodes))
 
-    def test_q_loop_builds_few_rules(self):
-        # first_panels moves with q only through ceil(2 sqrt((2q+1)/d))
-        from sphdefect.chaos import _bessel_zeros, _lobe_rule
+    def test_q_loop_and_both_routes_build_one_rule(self):
+        # the paper-numbers call sequence at one dimension: every order and
+        # both C_d routes read the one rule of (d, n_lobes)
+        from sphdefect.chaos import _lobe_rule
 
         _lobe_rule.cache_clear()
-        _bessel_zeros.cache_clear()
         for q in range(1, 41):
-            c_coefficient(2, q)
-        assert _lobe_rule.cache_info().misses <= 6
-        assert _lobe_rule.cache_info().maxsize == 1  # one rule alive, not one per key
-        assert _bessel_zeros.cache_info().misses == 1
+            c_coefficient(2, q, full_output=True)
+        for method in ("series", "integral"):
+            constant_estimate(2, method, q_terms=400, n_lobes=72)
+        assert _lobe_rule.cache_info().misses == 1
 
 
 class TestConstant:

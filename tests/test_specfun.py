@@ -259,6 +259,15 @@ class TestScaledBessel:
         with pytest.raises(ValueError):
             scaled_bessel(2, -0.1)
 
+    @pytest.mark.parametrize("d, closed", [
+        (3, lambda p: np.sin(p) / p),
+        (5, lambda p: 3.0 * (np.sin(p) - p * np.cos(p)) / p ** 3),
+    ])
+    def test_half_integer_closed_forms(self, d, closed):
+        # Jt_3 and Jt_5 in closed trigonometric form, as oracles
+        psi = np.linspace(0.5, 250.0, 20001)
+        assert np.max(np.abs(ScaledBesselKernel(d)(psi) - closed(psi))) <= 2e-15
+
 
 class TestBesselJ:
     """bessel_j against mpmath: power series, Miller's recurrence and
