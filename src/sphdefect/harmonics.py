@@ -280,10 +280,11 @@ def gaunt_table(d: int, l: int) -> GauntTable:
     m = slot % (2 * l + 1)
     p, a = polar[m, slot // (2 * l + 1)], azimuth[m]  # rows of basis function i
     pw = p * grid.ring_weights
+    lower = np.tri(n, k=-1, dtype=bool)
     for i in range(n):
         s = ((a[i] * a[i:]) @ a[i:].T) * ((pw[i] * p[i:]) @ p[i:].T)
-        s = np.triu(s) + np.triu(s, 1).T
-        s[np.abs(s) < _SNAP] = 0.0
+        s = np.where(lower[i:, i:], s.T, s)  # upper triangle mirrored
+        s[np.abs(s) < _SNAP] = 0.0  # also clears -0.0
         t[i, i:, i:] = t[i:, i, i:] = t[i:, i:, i] = s
     return GauntTable(d=d, l=l, n=n, exactness=grid.exactness_degree, coefficients=t)
 

@@ -358,7 +358,7 @@ class TestCoefficients:
             for q_str, expected in by_q.items():
                 value, err = c_coefficient(int(d_str), int(q_str),
                                            full_output=True)
-                assert abs(value - expected) <= max(err, 1e-12 * abs(expected))
+                assert abs(value - expected) <= err, (d_str, q_str)
 
     def test_positive_for_small_q(self):
         # positivity of every computed coefficient; observed (not proved)
@@ -481,6 +481,68 @@ class TestLobeRule:
         for method in ("series", "integral"):
             constant_estimate(2, method, q_terms=400, n_lobes=72)
         assert _lobe_rule.cache_info().misses == 1
+
+
+def _lobe_sums_and_blocks(monkeypatch, d, qs):
+    """_c_batch(d, qs) and the number of lobes summed in each block of
+    orders, read by a spy on the one np.add.reduceat call per block."""
+    from sphdefect import chaos
+
+    summed = []
+
+    class Add:
+        @staticmethod
+        def reduceat(a, indices, axis=0):
+            summed.append(len(indices))
+            return np.add.reduceat(a, indices, axis=axis)
+
+    class Numpy:
+        add = Add
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with monkeypatch.context() as m:
+        m.setattr(chaos, "np", Numpy())
+        lobes = chaos._c_batch(d, qs)
+    return lobes, summed
+
+
+class TestLobeBlocks:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_one_value_per_order(self, monkeypatch, d):
+        # c_coefficient sums one order over every lobe; the series route
+        # sums 400 in blocks over a prefix that shrinks at block edges.
+        # Whole lobes are dropped, so both give each order the same value
+        from sphdefect.chaos import _ORDER_BLOCK, _accelerate
+
+        lobes, summed = _lobe_sums_and_blocks(monkeypatch, d, range(1, 401))
+        assert len(summed) == -(-400 // _ORDER_BLOCK) and summed[0] == 72
+        drops = [b * _ORDER_BLOCK + 1 for b in range(1, len(summed))
+                 if summed[b] < summed[b - 1]]
+        assert len(drops) >= 5 and summed[-1] <= 3
+        values = _accelerate(lobes)[0]
+        edges = {1, 2, 15, 16, 17, 40, 100, 400}
+        for q in sorted(edges.union(drops)):
+            assert c_coefficient(d, q).hex() == float(values[q - 1]).hex(), (d, q)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sums_do_not_depend_on_block_size(self, monkeypatch, d):
+        # a lobe that one block size still sums where another has dropped
+        # it holds only powers below the smallest normal double
+        from sphdefect import chaos
+
+        runs = []
+        for size in (1, 7, 16):
+            monkeypatch.setattr(chaos, "_ORDER_BLOCK", size)
+            runs.append(chaos._c_batch(d, range(1, 401)))
+        ref = runs[-1]
+        for lobes in runs[:-1]:
+            both = (lobes != 0.0) & (ref != 0.0)
+            assert np.array_equal(lobes[both], ref[both])
+            assert np.max(np.abs(lobes - ref)[~both]) < 1e-290
+            for got, want in zip(chaos._accelerate(lobes)[:2], chaos._accelerate(ref)[:2]):
+                assert np.array_equal(got, want)
 
 
 class TestConstant:

@@ -4,6 +4,7 @@ import math
 import signal
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -517,17 +518,26 @@ class TestWorkers:
     def test_interrupt_in_join_stops_new_batches(self):
         # a signal delivered to the waiting thread raises there (at the
         # third batch, once every worker has started), the workers then
-        # start no batch, and none is left running when the call raises
+        # start no batch, and none is left running when the call raises.
+        # From the third on, batches wait for the handler and then sleep
+        # past the 5 ms switch interval: a worker holding the GIL could
+        # otherwise start all 20 before the main thread records the signal
         kernel = montecarlo._ring_defects
         calls = itertools.count()
         main = threading.get_ident()
+        handled = threading.Event()
 
         def interrupting(*args):
-            if next(calls) == 2:
+            call = next(calls)
+            if call == 2:
                 signal.pthread_kill(main, signal.SIGINT)
+            if call >= 2:
+                handled.wait(10.0)
+                time.sleep(0.01)
             return kernel(*args)
 
         def interrupted(signum, frame):
+            handled.set()
             raise RuntimeError("interrupted")
 
         grid = build_grid(2, 20)
