@@ -46,4 +46,4 @@ from .spherequad import (
     gegenbauer_moment,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -332,9 +332,10 @@ def variance_closed_form(d: int, l: int) -> float:
     Independent of the term-by-term route: the arcsin of G, G by its
     recurrence, is integrated directly under a Fejer rule in the angle of
     6l nodes, doubled until the sample's Chebyshev tail resolves it (the
-    integrand is analytic).  Within 3e-14 (l = 100) to 2.5e-11 (l = 2000,
-    the recurrence's rounding) of a 16l-node rule.  Used as a cross-check
-    oracle.
+    integrand is analytic).  Used as a cross-check oracle: within 5.5e-12
+    relative of the midpoint of the certified exact_variance(d, l, tol=1e-11)
+    bracket (half-width 2.3e-12 to 3.5e-12) at d = 2, l = 100, 400, 2000,
+    and (3, 100), (4, 300), (5, 200).
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -408,13 +409,17 @@ def _bessel_zeros(d: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _LobeRule:
-    """Shared nodes for integrals between consecutive Bessel zeros, with the
-    kernel Jt_d at the nodes; every array is read-only."""
+    """Shared nodes for integrals between consecutive Bessel zeros, the kernel
+    Jt_d there, each lobe's first node, weights * nodes^(d-1) and Jt_d^2;
+    every array is read-only."""
 
     nodes: np.ndarray
     weights: np.ndarray
     lobe_id: np.ndarray
     kernel: np.ndarray
+    starts: np.ndarray
+    base: np.ndarray
+    j2: np.ndarray
 
 
 _GL_ORDER = 32  # Gauss-Legendre nodes on every lobe panel
@@ -434,8 +439,10 @@ def _lobe_rule(d: int, n_lobes: int) -> _LobeRule:
     lobe_of_edge = np.concatenate([np.zeros(first.size + 1, dtype=int), np.arange(1, n_lobes)])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (edges[:-1, None] + half[:, None] * (x + 1.0)).ravel()
-    arrays = (nodes, (half[:, None] * w).ravel(),
-              np.repeat(lobe_of_edge, _GL_ORDER), ScaledBesselKernel(d)(nodes))
+    weights, lobe_id = (half[:, None] * w).ravel(), np.repeat(lobe_of_edge, _GL_ORDER)
+    kernel = ScaledBesselKernel(d)(nodes)
+    arrays = (nodes, weights, lobe_id, kernel, np.flatnonzero(np.diff(lobe_id, prepend=-1)),
+              weights * nodes ** (d - 1), kernel * kernel)
     for a in arrays:
         a.flags.writeable = False
     return _LobeRule(*arrays)
@@ -481,9 +488,7 @@ def _c_batch(d: int, qs, n_lobes: int = _DEFAULT_LOBES) -> np.ndarray:
     if not qs or qs[0] < 1 or any(a >= b for a, b in zip(qs, qs[1:])):
         raise ValueError(f"need increasing orders q >= 1, got {qs}")
     rule = _lobe_rule(d, n_lobes)
-    starts = np.flatnonzero(np.diff(rule.lobe_id, prepend=-1))
-    base = rule.weights * rule.nodes ** (d - 1)
-    power, j2 = rule.kernel, rule.kernel * rule.kernel
+    starts, base, power, j2 = rule.starts, rule.base, rule.kernel, rule.j2
     cur, live = 1, n_lobes
     lobes = np.zeros((len(qs), n_lobes))
     block = np.empty((min(_ORDER_BLOCK, len(qs)), power.size))
@@ -508,6 +513,28 @@ def _c_batch(d: int, qs, n_lobes: int = _DEFAULT_LOBES) -> np.ndarray:
     return lobes
 
 
+def _c_quadrature(d: int, qs) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error estimates) of c_{2q+1;d}, increasing orders qs >= 1, as
+    :func:`c_coefficient` gives each: one power chain for all orders."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    if qs[0] < 1:
+        raise ValueError(f"need q >= 1, got {qs[0]}")
+    lobes = _c_batch(d, qs)
+    values, errors, _ = _accelerate(lobes)
+    for q, value, err, row in zip(qs, values, errors, lobes):
+        if err > 1e-6 * max(abs(value), 1e-12):
+            raise ArithmeticError(
+                f"lobe-series acceleration did not converge: c_({2*q+1};{d}) "
+                f"~ {value} with error estimate {err}; partial sums "
+                f"{np.array2string(np.cumsum(row), precision=8)}"
+            )
+    # the power chain rounds Jt_d^(2q+1) by about (2q+1) ulp; the goldens
+    # (d = 2..5, q <= 400) sit within 1.21 (2q+1) eps |c|: 2 leaves room
+    errors += 2.0 * (2 * np.array(qs) + 1) * math.ulp(1.0) * np.abs(values)
+    return values, errors
+
+
 def c_coefficient(d: int, q: int, method: str = "quadrature",
                   full_output: bool = False):
     """c_{2q+1;d} = int_0^inf Jt_d(psi)^(2q+1) psi^(d-1) dpsi.
@@ -528,18 +555,8 @@ def c_coefficient(d: int, q: int, method: str = "quadrature",
             raise ValueError("closed form is available for q = 1 only")
         value, err = c3_closed(d), 0.0
     elif method == "quadrature":
-        lobes = _c_batch(d, [q])
-        values, errors, _ = _accelerate(lobes)
+        values, errors = _c_quadrature(d, [q])
         value, err = float(values[0]), float(errors[0])
-        if err > 1e-6 * max(abs(value), 1e-12):
-            raise ArithmeticError(
-                f"lobe-series acceleration did not converge: c_({2*q+1};{d}) "
-                f"~ {value} with error estimate {err}; partial sums "
-                f"{np.array2string(np.cumsum(lobes[0]), precision=8)}"
-            )
-        # the power chain rounds Jt_d^(2q+1) by about (2q+1) ulp; the goldens
-        # (d = 2..5, q <= 400) sit within 1.21 (2q+1) eps |c|: 2 leaves room
-        err += 2.0 * (2 * q + 1) * math.ulp(1.0) * abs(value)
     else:
         raise ValueError(f"unknown method {method!r}")
     if full_output:
@@ -607,7 +624,7 @@ def constant_estimate(d: int, method: str = "series",
     if method == "integral":
         rule = _lobe_rule(d, n_lobes)
         j = np.clip(rule.kernel, -1.0, 1.0)
-        f = rule.weights * rule.nodes ** (d - 1) * (np.arcsin(j) - j)
+        f = rule.base * (np.arcsin(j) - j)
         lobes = np.bincount(rule.lobe_id, f, minlength=n_lobes)
         est, err, levels = _accelerate(lobes)
         value = 4.0 / math.pi * ss * float(est)

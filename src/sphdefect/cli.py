@@ -33,7 +33,7 @@ import os
 import sys
 
 from . import __version__
-from .chaos import (c_coefficient, constant_estimate,
+from .chaos import (_c_quadrature, c_coefficient, constant_estimate,
                     defect_constant_lower_bound, exact_variance, facile_check)
 from .harmonics import circulant_closed, circulant_sum, gaunt_diagonal, \
     gaunt_table, lemcg_check
@@ -194,11 +194,13 @@ def _cmd_constant(args, out: _Writer) -> int:
 
 def _cmd_ccoef(args, out: _Writer) -> int:
     qs = _values_from(args.q, args.q_range, "q")
-    rows = []
-    for q in qs:
-        value, err = c_coefficient(args.d, q, method=args.method,
-                                   full_output=True)
-        rows.append([q, value, err])
+    if args.method == "quadrature":
+        # one power chain for the increasing orders, values as c_coefficient's
+        values, errors = _c_quadrature(args.d, qs)
+        rows = [[q, float(v), float(e)] for q, v, e in zip(qs, values, errors)]
+    else:
+        rows = [[q, *c_coefficient(args.d, q, method=args.method, full_output=True)]
+                for q in qs]
     out.table(["q", "c", "error_estimate"], rows)
     return 0
 

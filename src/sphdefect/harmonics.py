@@ -24,7 +24,6 @@ repeat for L = 0..l with polar order L.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -231,20 +230,6 @@ class GauntTable:
                     if v != 0.0:
                         lines.append(f"{i + 1} {j + 1} {k + 1} {v:.17g}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, path) -> "GauntTable":
-        with open(path) as fh:
-            header = fh.readline().split()
-            d, l, n, exactness = (int(x) for x in header)
-            coeff = np.zeros((n, n, n))
-            for line in fh:
-                if not line.strip():
-                    continue
-                *abc, v = line.split()
-                for idx in itertools.permutations(int(x) - 1 for x in abc):
-                    coeff[idx] = float(v)
-        return cls(d=d, l=l, n=n, exactness=exactness, coefficients=coeff)
 
 
 def gaunt_table(d: int, l: int) -> GauntTable:

@@ -257,6 +257,14 @@ class TestBracketProperties:
                * float(w @ ((np.arcsin(g) - g) * np.sin(theta) ** (d - 1))))
         assert variance_closed_form(d, l) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("d,l", [(2, 400), (4, 300)])
+    def test_closed_form_near_certified_midpoint(self, d, l):
+        # the oracle against the bracket, certified to a relative width of
+        # about 6e-12: measured -5.4e-12 at (2, 400), -9e-15 at (4, 300)
+        rep = exact_variance(d, l, tol=1e-11)
+        mid = rep.value + 0.5 * rep.tail_bound
+        assert abs(variance_closed_form(d, l) - mid) <= 1.5e-11 * mid
+
     @settings(max_examples=12, deadline=None)
     @given(half_l=st.integers(1, 200))
     def test_default_tolerance_certifies_at_d2(self, half_l):
@@ -442,7 +450,7 @@ class TestLobeRule:
         from sphdefect.chaos import _lobe_rule
 
         rule = _lobe_rule(3, 12)
-        for name in ("nodes", "weights", "lobe_id", "kernel"):
+        for name in ("nodes", "weights", "lobe_id", "kernel", "starts", "base", "j2"):
             with pytest.raises(ValueError):
                 getattr(rule, name)[0] = 0
 
@@ -469,6 +477,10 @@ class TestLobeRule:
         assert np.array_equal(rule.weights, np.concatenate(weights))
         assert np.array_equal(rule.lobe_id, np.concatenate(lobe_id))
         assert np.array_equal(rule.kernel, ScaledBesselKernel(d)(rule.nodes))
+        # what the lobe sums read: each lobe's first node, w psi^(d-1), Jt^2
+        assert np.array_equal(rule.starts, [0] + [32 * (7 + i) for i in range(29)])
+        assert np.array_equal(rule.base, rule.weights * rule.nodes ** (d - 1))
+        assert np.array_equal(rule.j2, rule.kernel ** 2)
 
     def test_q_loop_and_both_routes_build_one_rule(self):
         # the paper-numbers call sequence at one dimension: every order and

@@ -9,7 +9,10 @@ import pytest
 
 import sphdefect
 from sphdefect import cli
-from sphdefect.harmonics import GauntTable, gaunt_table
+from sphdefect.chaos import c_coefficient
+from sphdefect.harmonics import gaunt_table
+
+from gaunt_text import read_gaunt_text
 
 
 def run(argv, capsys):
@@ -241,6 +244,26 @@ class TestCcoef:
         assert out == ""
         assert "d >= 2" in err
 
+    def test_range_rows_equal_single_order_calls(self, capsys):
+        # the range runs one power chain; every row is bit-equal to a
+        # c_coefficient call of its own order
+        code, out, _ = run(["ccoef", "--d", "3", "--q-range", "1:61:4",
+                            "--no-timestamp"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()
+                if line and not line.startswith("#")][1:]
+        assert [int(q) for q, _, _ in rows] == list(range(1, 62, 4))
+        for q, value, err in rows:
+            ref = c_coefficient(3, int(q), full_output=True)
+            assert (float(value), float(err)) == ref
+
+    def test_order_below_one_exit_2(self, capsys):
+        code, out, err = run(["ccoef", "--d", "2", "--q-range", "0:3",
+                              "--no-timestamp"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "q >= 1, got 0" in err
+
 
 class TestConstant:
     def test_both_methods_json(self, capsys):
@@ -300,9 +323,10 @@ class TestGaunt:
                             "-o", str(path)], capsys)
         assert code == 0
         assert "canonical nonzero" in err
-        back = GauntTable.load(str(path))
-        assert np.array_equal(back.coefficients,
-                              gaunt_table(2, 4).coefficients)
+        *header, back = read_gaunt_text(path.read_text())
+        table = gaunt_table(2, 4)
+        assert header == [2, 4, table.n, table.exactness]
+        assert np.array_equal(back, table.coefficients)
 
     def test_output_into_missing_directory(self, capsys, tmp_path):
         path = tmp_path / "new" / "deeper" / "g22.txt"

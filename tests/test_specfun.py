@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import special as sp
 from sphdefect.specfun import (GegenbauerEvaluator, ScaledBesselKernel, bessel_j, dct,
                                eigenspace_dim, gegenbauer, hurwitz_zeta, next_fast_len,
                                scaled_bessel, sphere_surface)
-from sphdefect.specfun import _BLOCK, _RECURRENCE_BLOCK, powers_dot
+from sphdefect.specfun import _BLOCK, _RECURRENCE_BLOCK, _RESCALE, powers_dot
 
 
 def test_sphere_surface_known_values():
@@ -138,34 +139,89 @@ class TestGegenbauer:
                                                abs=tiny * float(np.sum(w)))
 
     @staticmethod
-    def _textbook(ev, t):
-        # G_{n+1} = (a[n] * t) * G_n - b[n] * G_{n-1}, one full array per step
-        if ev.degree == 0:
-            return np.ones_like(t)
-        prev, ref = np.ones_like(t), t.copy()
-        for n in range(1, ev.degree):
-            prev, ref = ref, ev._a[n] * t * ref - ev._b[n] * prev
-        return ref
+    def _half_step(ev, t):
+        # G = t^(l % 2) s_m X_m with X_(k+1) = ((A[k] * t^2) + B[k]) * X_k
+        # - X_(k-1), X_(-1) = 0, X_0 = 1: one full array per step, no rescaling
+        v = t * t
+        prev, cur = np.zeros_like(t), np.ones_like(t)
+        for k in range(ev.degree // 2):
+            prev, cur = cur, (ev._A[k] * v + ev._B[k]) * cur - prev
+        ref = cur * ev._scale
+        return ref * t if ev.degree % 2 else ref
 
     @pytest.mark.parametrize("d", [2, 3, 5])
-    @pytest.mark.parametrize("l", [0, 1, 7, 400])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 7, 400, 401])
     def test_recurrence_bit_identical_to_textbook_form(self, d, l):
-        # the in-place buffers must not change a single bit of the textbook form
+        # the in-place block buffers must not change a single bit of the
+        # plain loop of the Jacobi recurrence
         ev = GegenbauerEvaluator(d, l)
+        assert not ev._rescale
         t = np.concatenate([np.linspace(-1.0, 1.0, 1001),
                             np.random.default_rng(d + l).uniform(-1.0, 1.0, 500)])
-        ref = self._textbook(ev, t)
+        ref = self._half_step(ev, t)
         assert np.array_equal(ev._recurrence(t), ref)
         assert np.array_equal(gegenbauer(d, l, t), ref)
 
     @pytest.mark.parametrize("n", [_RECURRENCE_BLOCK, _RECURRENCE_BLOCK + 1])
     def test_recurrence_block_edges(self, n):
         # a whole block, and one with a one-value ragged block, keep every
-        # bit of the textbook form
-        ev = GegenbauerEvaluator(3, 9)
+        # bit of the plain loop, at both parities
         t = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-        assert np.array_equal(ev._recurrence(t), self._textbook(ev, t))
+        for l in (8, 9):
+            ev = GegenbauerEvaluator(3, l)
+            assert np.array_equal(ev._recurrence(t), self._half_step(ev, t))
 
+    def test_rescaling_changes_no_bit(self):
+        # at (200, 20000) s_m is 1.2e-243, so the plain loop still fits in
+        # double range; the evaluator's one power-of-two rescaling, undone
+        # in the scale, gives the same bits
+        ev = GegenbauerEvaluator(200, 20_000)
+        assert len(ev._rescale) == 1
+        t = np.array([-1.0, -0.6, 0.0, 0.3, 0.5, 0.9, 0.99, 0.999, 1.0])
+        plain = copy.copy(ev)
+        plain._scale = ev._scale / _RESCALE
+        plain._rescale = set()
+        assert np.array_equal(ev._recurrence(t), self._half_step(plain, t))
+
+    @pytest.mark.parametrize("d, l, expected", [
+        (60, 100_000, [1.1873261996104313e-108, 4.354887643440803e-109,
+                       1.4316863590421844e-83, 0.9999999999707877]),
+        (200, 20_000, [3.214822491315805e-243, -1.4983915433267097e-241,
+                       6.419772885371359e-159, 1.0000000000000004]),
+    ])
+    def test_range_guard(self, d, l, expected):
+        # far past the scale's double range without rescaling (s_m ~ |G|):
+        # finite, and the values of the recurrence in t to its printed digits
+        got = GegenbauerEvaluator(d, l)._recurrence(np.array([0.0, 0.3, 0.99, 1.0]))
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(expected, rel=1e-8)
+
+    @staticmethod
+    def _mp_values(d, l, t):
+        # G at the exact float t by the recurrence in t at 40 digits
+        import mpmath
+
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(d - 1) / 2
+            out = []
+            for x in map(mpmath.mpf, t.tolist()):
+                prev, cur = mpmath.mpf(1), x
+                for n in range(1, l):
+                    prev, cur = cur, (2 * (n + lam) * x * cur - n * prev) / (n + 2 * lam)
+                out.append(float(cur))
+        return np.array(out)
+
+    @pytest.mark.parametrize("d, l", [(2, 400), (2, 401), (3, 1000), (5, 401), (2, 2000)])
+    def test_accuracy_against_mpmath(self, d, l):
+        # the bounds of the gegenbauer docstring: measured 0.11 eps kappa
+        # overall and 0.17 eps l for |t| <= 0.9, kappa = G'(1)
+        eps = np.finfo(float).eps
+        t = np.concatenate([[0.0, 1e-6, 0.5, 1.0 - 1e-12, 1.0, -1.0],
+                            np.random.default_rng(l).uniform(-1.0, 1.0, 40)])
+        err = np.abs(gegenbauer(d, l, t) - self._mp_values(d, l, t))
+        kappa = l * (l + d - 1) / d
+        assert np.max(err) <= 0.5 * eps * kappa
+        assert np.max(err[np.abs(t) <= 0.9]) <= eps * l
 
 class TestCosineSeries:
     """G on Chebyshev points from one DCT of its cosine series."""
