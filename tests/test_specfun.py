@@ -190,7 +190,7 @@ class TestGegenbauer:
                        6.419772885371359e-159, 1.0000000000000004]),
     ])
     def test_range_guard(self, d, l, expected):
-        # far past the scale's double range without rescaling (s_m ~ |G|):
+        # large d log l, where s_m falls with |G| (to 1.2e-243 at (200, 20000)):
         # finite, and the values of the recurrence in t to its printed digits
         got = GegenbauerEvaluator(d, l)._recurrence(np.array([0.0, 0.3, 0.99, 1.0]))
         assert np.all(np.isfinite(got))
@@ -222,6 +222,7 @@ class TestGegenbauer:
         kappa = l * (l + d - 1) / d
         assert np.max(err) <= 0.5 * eps * kappa
         assert np.max(err[np.abs(t) <= 0.9]) <= eps * l
+
 
 class TestCosineSeries:
     """G on Chebyshev points from one DCT of its cosine series."""
